@@ -205,3 +205,120 @@ fn inference_trace_obeys_ctef_discipline() {
     host_gpus.dedup();
     assert_eq!(host_gpus, vec![0, 1], "both workers emit batch host spans");
 }
+
+/// FNV-1a over a stream of 64-bit words — a stable digest of exact bits.
+fn fnv1a(words: impl IntoIterator<Item = u64>) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    for w in words {
+        for b in w.to_le_bytes() {
+            h = (h ^ b as u64).wrapping_mul(0x0100_0000_01b3);
+        }
+    }
+    h
+}
+
+/// Pinned fold-in output for one trained model: digests of the exact f64
+/// bits plus the modelled `lda_infer` charges.
+#[derive(Debug, PartialEq)]
+struct FoldInDigest {
+    theta: u64,
+    doc_log_predictive: u64,
+    perplexity_by_sweep: u64,
+    sim_seconds_bits: u64,
+    dram_bytes: u64,
+}
+
+/// Trains a K-topic model, serves a held-out split through
+/// `InferenceEngine::infer_batch`, and digests the result. Asserts the
+/// served words cover both dense-resident and sparse-resident ϕ rows, so
+/// both layouts' read paths are pinned.
+fn fold_in_digest(k: usize, iterations: u32) -> FoldInDigest {
+    let mut spec = SynthSpec::tiny();
+    spec.num_docs = 360;
+    spec.avg_doc_len = 60.0;
+    spec.seed = 29;
+    let corpus = spec.generate();
+    let (train, held) = split_held_out(&corpus, 0.06, 29);
+    let cfg = TrainerConfig::builder(k, Platform::pascal().with_gpus(2))
+        .iterations(iterations)
+        .score_every(0)
+        .seed(3)
+        .build()
+        .unwrap();
+    let mut trainer = build_trainer(PartitionPolicy::Document, &train, cfg).unwrap();
+    for _ in 0..iterations {
+        trainer.step();
+    }
+    let live = &trainer.phi().phi;
+    let docs: Vec<Vec<u32>> = held.docs.iter().map(|d| d.words.clone()).collect();
+    let served = |dense: bool| {
+        docs.iter()
+            .flatten()
+            .any(|&w| live.row_is_dense(w as usize) == dense)
+    };
+    assert!(served(true), "K = {k}: no dense-resident row is served");
+    assert!(served(false), "K = {k}: no sparse-resident row is served");
+
+    let mut bytes = Vec::new();
+    FrozenModel::freeze(trainer.phi()).save(&mut bytes).unwrap();
+    let engine = InferenceEngine::new(
+        FrozenModel::load(&bytes[..]).unwrap(),
+        ServeConfig::builder(17)
+            .workers(2)
+            .batch_size(7)
+            .burnin(3)
+            .samples(2)
+            .build()
+            .unwrap(),
+    );
+    let out = engine.infer_batch(&docs).unwrap();
+    let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
+    let infer = engine
+        .profile()
+        .summaries()
+        .into_iter()
+        .find(|s| s.name == "lda_infer")
+        .expect("lda_infer ran");
+    FoldInDigest {
+        theta: fnv1a(out.theta.iter().flat_map(|row| bits(row))),
+        doc_log_predictive: fnv1a(bits(&out.doc_log_predictive)),
+        perplexity_by_sweep: fnv1a(bits(&out.perplexity_by_sweep)),
+        sim_seconds_bits: out.sim_seconds.to_bits(),
+        dram_bytes: infer.dram_bytes,
+    }
+}
+
+// The digests below were captured from the mutex-guarded `CountMatrix`
+// read path; every later fold-in implementation must reproduce them bit
+// for bit (the kernel-vs-oracle test alone is circular: both share one
+// fold-in body).
+
+#[test]
+fn fold_in_golden_small_k() {
+    let got = fold_in_digest(16, 6);
+    assert_eq!(
+        got,
+        FoldInDigest {
+            theta: 0x256f55130134275f,
+            doc_log_predictive: 0x6e279f6e0bf5d821,
+            perplexity_by_sweep: 0x427928f24b3af7cd,
+            sim_seconds_bits: 0x3ef926cb7e665d1e,
+            dram_bytes: 651_408,
+        }
+    );
+}
+
+#[test]
+fn fold_in_golden_k1024() {
+    let got = fold_in_digest(1024, 2);
+    assert_eq!(
+        got,
+        FoldInDigest {
+            theta: 0x712afc571128780a,
+            doc_log_predictive: 0x8772e782c01e3441,
+            perplexity_by_sweep: 0x2842b5cd0518905e,
+            sim_seconds_bits: 0x3f44e61d6ee097e6,
+            dram_bytes: 40_689_168,
+        }
+    );
+}
