@@ -13,6 +13,7 @@
 use crate::args::Args;
 use crate::commands::{load_corpus, platform_or, CmdResult};
 use culda_metrics::MetricsRegistry;
+use culda_sampler::LdaModel;
 use culda_serve::{
     AdmissionConfig, FrozenModel, LoadGenerator, LoadSpec, ModelRegistry, PlaneConfig, ServeConfig,
     ServingPlane,
@@ -53,8 +54,7 @@ pub fn serve(args: &Args) -> CmdResult {
             .latest("default")
             .expect("just published")
             .1
-            .phi()
-            .num_topics
+            .num_topics()
     );
 
     let plane_cfg = PlaneConfig {

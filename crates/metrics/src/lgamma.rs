@@ -73,11 +73,8 @@ pub fn ln_gamma_ratio(x: f64, n: u32) -> f64 {
     }
 }
 
-/// Digamma function ψ(x) = d/dx ln Γ(x) for `x > 0`.
-///
-/// Used by hyper-parameter optimization extensions (Minka fixed-point
-/// updates for α); implemented via the standard asymptotic series after
-/// shifting the argument above 6.
+/// Digamma function ψ(x) = d/dx ln Γ(x) for `x > 0`, implemented via the
+/// standard asymptotic series after shifting the argument to at least 10.
 pub fn digamma(x: f64) -> f64 {
     assert!(
         x.is_finite() && x > 0.0,

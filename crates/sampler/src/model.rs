@@ -42,6 +42,22 @@ pub trait LdaModel {
     /// Raw topic total `n_k = Σ_v ϕ_{k,v}`.
     fn topic_total(&self, topic: usize) -> u32;
 
+    /// The nonzero counts of `word`'s row as `(topic, count)`, ascending
+    /// by topic. Storage-aware implementors override the `O(K)` scan.
+    fn row_nonzeros(&self, word: usize) -> Vec<(u16, u32)> {
+        (0..self.num_topics())
+            .map(|t| (t as u16, self.phi_count(word, t)))
+            .filter(|&(_, c)| c != 0)
+            .collect()
+    }
+
+    /// Total nonzero counts across ϕ.
+    fn total_nnz(&self) -> u64 {
+        (0..self.vocab_size())
+            .map(|w| self.row_nonzeros(w).len() as u64)
+            .sum()
+    }
+
     /// Total tokens the model was estimated from.
     fn total_tokens(&self) -> u64 {
         (0..self.num_topics())
@@ -62,6 +78,18 @@ pub trait LdaModel {
         let beta_v = self.priors().beta_v(self.vocab_size());
         (self.phi_count(word, topic) as f64 + self.priors().beta)
             / (self.topic_total(topic) as f64 + beta_v)
+    }
+
+    /// Top `n` words of topic `k` as `(word, count)`, by descending count
+    /// with ties broken by word id.
+    fn top_words(&self, k: usize, n: usize) -> Vec<(u32, u32)> {
+        let mut counts: Vec<(u32, u32)> = (0..self.vocab_size())
+            .map(|v| (v as u32, self.phi_count(v, k)))
+            .filter(|&(_, c)| c > 0)
+            .collect();
+        counts.sort_by_key(|&(v, c)| (std::cmp::Reverse(c), v));
+        counts.truncate(n);
+        counts
     }
 }
 
@@ -84,6 +112,14 @@ impl LdaModel for PhiModel {
 
     fn topic_total(&self, topic: usize) -> u32 {
         self.phi_sum.load(topic)
+    }
+
+    fn row_nonzeros(&self, word: usize) -> Vec<(u16, u32)> {
+        self.phi.row_nonzeros(word)
+    }
+
+    fn total_nnz(&self) -> u64 {
+        self.phi.total_nnz()
     }
 }
 
@@ -196,17 +232,6 @@ impl PhiModel {
             );
         }
         totals.iter().sum()
-    }
-
-    /// Top `n` words of topic `k` by count (for the example binaries).
-    pub fn top_words(&self, k: usize, n: usize) -> Vec<(u32, u32)> {
-        let mut counts: Vec<(u32, u32)> = (0..self.vocab_size)
-            .map(|v| (v as u32, self.phi.get(v, k)))
-            .filter(|&(_, c)| c > 0)
-            .collect();
-        counts.sort_by_key(|&(v, c)| (std::cmp::Reverse(c), v));
-        counts.truncate(n);
-        counts
     }
 }
 

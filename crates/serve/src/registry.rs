@@ -119,7 +119,7 @@ impl ModelRegistry {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use culda_sampler::{PhiModel, Priors};
+    use culda_sampler::{LdaModel, PhiModel, Priors};
 
     fn model() -> FrozenModel {
         FrozenModel::from_phi(PhiModel::zeros(4, 6, Priors::paper(4)))
@@ -152,7 +152,7 @@ mod tests {
         assert!(reg.retire("news", 2));
         assert!(!reg.retire("news", 2), "already gone");
         assert_eq!(reg.versions("news"), vec![1]);
-        assert_eq!(held.phi().num_topics, 4);
+        assert_eq!(held.num_topics(), 4);
         // Numbers never rewind: the next publish is v3, not v2.
         assert_eq!(reg.publish("news", model()).version, 3);
         assert!(reg.retire("news", 1));

@@ -9,7 +9,7 @@ use culda::corpus::{prune_vocab, Corpus, Document, PruneSpec, SynthSpec};
 use culda::gpusim::Platform;
 use culda::metrics::CoOccurrence;
 use culda::multigpu::{CuldaTrainer, TrainerConfig};
-use culda::sampler::{load_phi, save_phi, FoldIn};
+use culda::sampler::{load_phi, save_phi, FoldIn, LdaModel};
 use std::collections::HashSet;
 
 fn main() {

@@ -9,6 +9,7 @@ use culda::corpus::SynthSpec;
 use culda::gpusim::Platform;
 use culda::metrics::format_tokens_per_sec;
 use culda::multigpu::{CuldaTrainer, TrainerConfig};
+use culda::sampler::LdaModel;
 
 fn main() {
     // 1. A corpus. Real deployments build `Corpus` from their own token

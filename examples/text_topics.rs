@@ -8,6 +8,7 @@
 use culda::corpus::TextPipeline;
 use culda::gpusim::Platform;
 use culda::multigpu::{CuldaTrainer, TrainerConfig};
+use culda::sampler::LdaModel;
 
 /// A tiny hand-written corpus with three obvious themes (computing,
 /// cooking, astronomy), repeated with variations so the sampler has

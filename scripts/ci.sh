@@ -15,6 +15,11 @@ cargo test --workspace -q
 echo "==> trace golden test"
 cargo test -q --test trace_golden
 
+echo "==> fold-in golden test"
+# The serving fold-in's θ̂, log-predictive and modelled-charge digests are
+# pinned; any change to the fold-in read path must reproduce them exactly.
+cargo test -q --test inference fold_in_golden
+
 echo "==> inference smoke test"
 smoke="$(mktemp -d)"
 trap 'rm -rf "$smoke"' EXIT
