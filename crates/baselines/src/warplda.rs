@@ -329,9 +329,22 @@ mod tests {
         }
         let phi = s.export_phi();
         assert_eq!(phi.check_sums(), c.num_tokens());
-        let fold = culda_sampler::FoldIn::new(&phi);
-        let doc: Vec<u32> = c.docs[0].words.clone();
-        let theta = fold.infer_document(&doc, 5, 1);
-        assert_eq!(theta.iter().sum::<u32>() as usize, doc.len());
+        let frozen = culda_sampler::FrozenPhi::from_phi(phi);
+        let smoothing = culda_sampler::Smoothing::new(&frozen);
+        let doc = culda_sampler::InferDoc {
+            stream_id: 0,
+            words: &c.docs[0].words,
+        };
+        let post = culda_sampler::infer_reference(
+            &frozen,
+            &smoothing,
+            &[doc],
+            &culda_sampler::InferKernelConfig::new(1),
+        );
+        let total: u64 = post[0].theta_acc.iter().sum();
+        assert_eq!(
+            total,
+            (doc.words.len() * post[0].acc_sweeps as usize) as u64
+        );
     }
 }

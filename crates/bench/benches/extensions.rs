@@ -5,7 +5,10 @@
 use culda_bench::harness::{bench, group};
 use culda_corpus::{prune_vocab, read_uci, write_uci, PruneSpec, SynthSpec};
 use culda_metrics::CoOccurrence;
-use culda_sampler::{load_phi, save_phi, FoldIn, PhiModel, Priors};
+use culda_sampler::{
+    infer_reference, load_phi, save_phi, FrozenPhi, InferDoc, InferKernelConfig, PhiModel, Priors,
+    Smoothing,
+};
 use std::collections::HashSet;
 use std::hint::black_box;
 
@@ -23,10 +26,18 @@ fn main() {
     group("extensions");
 
     let phi = trained_phi();
-    let fold = FoldIn::new(&phi);
+    let frozen = FrozenPhi::freeze(&phi);
+    let smoothing = Smoothing::new(&frozen);
     let doc: Vec<u32> = (0..200).map(|i| (i * 13) % 2000).collect();
+    let batch = [InferDoc {
+        stream_id: 7,
+        words: &doc,
+    }];
+    let mut cfg = InferKernelConfig::new(7);
+    cfg.burnin = 9;
+    cfg.samples = 1;
     bench("fold_in_200_tokens_10_sweeps", || {
-        black_box(fold.infer_document(&doc, 10, 7))
+        black_box(infer_reference(&frozen, &smoothing, &batch, &cfg))
     });
 
     bench("checkpoint_save_load", || {

@@ -13,7 +13,8 @@ use culda_corpus::{Corpus, SynthSpec, Vocab};
 use culda_gpusim::Platform;
 use culda_metrics::{Figure, Series};
 use culda_multigpu::{CuldaTrainer, TrainerConfig};
-use culda_sampler::{FoldIn, Priors};
+use culda_sampler::{LdaModel, Priors};
+use culda_serve::{FrozenModel, InferenceEngine, ServeConfig};
 
 const K: usize = 256;
 
@@ -30,6 +31,20 @@ fn split_corpus() -> (Corpus, Vec<Vec<u32>>) {
         .filter(|d| !d.is_empty())
         .collect();
     (train, held)
+}
+
+/// Held-out perplexity of `held` folded into a frozen copy of `model`
+/// (15 sweeps per document).
+fn held_out_perplexity(model: &dyn LdaModel, held: &[Vec<u32>]) -> f64 {
+    let cfg = ServeConfig::builder(7)
+        .burnin(11)
+        .samples(4)
+        .build()
+        .expect("valid serve config");
+    InferenceEngine::new(FrozenModel::freeze(model), cfg)
+        .infer_batch(held)
+        .expect("held-out documents are in the model vocabulary")
+        .perplexity
 }
 
 fn main() {
@@ -58,8 +73,7 @@ fn main() {
     for i in 0..iters {
         trainer.step();
         if (i + 1) % cadence == 0 {
-            let fold = FoldIn::new(trainer.global_phi());
-            let ppl = fold.perplexity(&held, 15, 7);
+            let ppl = held_out_perplexity(trainer.global_phi(), &held);
             culda_points.push(((i + 1) as f64, ppl));
         }
     }
@@ -70,9 +84,8 @@ fn main() {
     for i in 0..iters {
         warp.iterate();
         if (i + 1) % cadence == 0 {
-            let phi = warp.export_phi();
-            let fold = FoldIn::new(&phi);
-            warp_points.push(((i + 1) as f64, fold.perplexity(&held, 15, 7)));
+            let ppl = held_out_perplexity(&warp.export_phi(), &held);
+            warp_points.push(((i + 1) as f64, ppl));
         }
     }
 

@@ -314,9 +314,18 @@ mod tests {
         let phi = model();
         let mut buf = Vec::new();
         save_phi(&phi, &mut buf).unwrap();
-        let loaded = load_phi(buf.as_slice()).unwrap();
-        let fold = crate::infer::FoldIn::new(&loaded);
-        let theta = fold.infer_document(&[0, 1, 2], 5, 1);
-        assert_eq!(theta.iter().sum::<u32>(), 3);
+        let loaded = load_frozen_phi(buf.as_slice()).unwrap();
+        let doc = crate::InferDoc {
+            stream_id: 0,
+            words: &[0, 1, 2],
+        };
+        let post = crate::infer_reference(
+            &loaded,
+            &crate::Smoothing::new(&loaded),
+            &[doc],
+            &crate::InferKernelConfig::new(1),
+        );
+        let total: u64 = post[0].theta_acc.iter().sum();
+        assert_eq!(total, 3 * post[0].acc_sweeps as u64);
     }
 }

@@ -7,14 +7,10 @@
 //! packs every row as CSR: `offsets` into one `(topic, count)` cell array,
 //! ascending by topic within a row.
 //!
-//! The fold-in reads a word's row **once per token**: it decodes the row
-//! into a reused `K`-vector of smoothed counts `count + β`
-//! ([`FrozenCounts::decode_row_f32`] / [`FrozenCounts::decode_row_f64`])
-//! and reuses it across all `K` topics, Eq. 8's shared `p*_w(k)`
-//! sub-expression. An absent cell decodes to `β`, which equals a dense
-//! row's `0 + β` exactly (adding a positive constant to `+0.0` is exact in
-//! IEEE-754), so the decode has the bits of the live matrix's per-cell
-//! `count + β` whatever layout the live row was in.
+//! The fold-in reads a word's row as its CSR cells
+//! ([`FrozenCounts::row_cells`]), borrowed in place: its sparse sampler
+//! and scorer touch only the `nnz_w` stored topics and never expand a
+//! row to `K` entries.
 //!
 //! [`FrozenPhi`] bundles the counts with their topic totals and priors:
 //! everything a read-only consumer needs, behind the [`LdaModel`] surface.
@@ -48,52 +44,26 @@ impl FrozenCounts {
         self.cols
     }
 
-    /// The nonzero cells of `row`, ascending by column.
+    /// The nonzero `(col, count)` cells of `row`, ascending by column,
+    /// borrowed from the snapshot.
     #[inline]
-    fn row(&self, row: usize) -> &[(u16, u32)] {
+    pub fn row_cells(&self, row: usize) -> &[(u16, u32)] {
         &self.cells[self.offsets[row]..self.offsets[row + 1]]
     }
 
     /// The count at `(row, col)`.
     pub fn get(&self, row: usize, col: usize) -> u32 {
         debug_assert!(col < self.cols);
-        let cells = self.row(row);
+        let cells = self.row_cells(row);
         cells
             .binary_search_by_key(&(col as u16), |&(t, _)| t)
             .map(|i| cells[i].1)
             .unwrap_or(0)
     }
 
-    /// The nonzero cells of `row` as `(col, count)`, ascending by column.
-    pub fn row_nonzeros(&self, row: usize) -> Vec<(u16, u32)> {
-        self.row(row).to_vec()
-    }
-
     /// Total nonzero cells across the matrix.
     pub fn total_nnz(&self) -> u64 {
         self.cells.len() as u64
-    }
-
-    /// Fills `out[k] = count(row, k) as f32 + beta` — the word's smoothed
-    /// counts, decoded once and reused across every topic of a token.
-    #[inline]
-    pub fn decode_row_f32(&self, row: usize, beta: f32, out: &mut [f32]) {
-        debug_assert_eq!(out.len(), self.cols);
-        out.fill(beta);
-        for &(t, c) in self.row(row) {
-            out[t as usize] = c as f32 + beta;
-        }
-    }
-
-    /// The f64 twin of [`Self::decode_row_f32`] for the scoring path:
-    /// `out[k] = count(row, k) as f64 + beta`.
-    #[inline]
-    pub fn decode_row_f64(&self, row: usize, beta: f64, out: &mut [f64]) {
-        debug_assert_eq!(out.len(), self.cols);
-        out.fill(beta);
-        for &(t, c) in self.row(row) {
-            out[t as usize] = c as f64 + beta;
-        }
     }
 }
 
@@ -227,7 +197,7 @@ impl LdaModel for FrozenPhi {
     }
 
     fn row_nonzeros(&self, word: usize) -> Vec<(u16, u32)> {
-        self.counts.row_nonzeros(word)
+        self.counts.row_cells(word).to_vec()
     }
 
     fn total_nnz(&self) -> u64 {
@@ -249,30 +219,14 @@ mod tests {
         let counts = b.finish();
         assert_eq!(counts.num_rows(), 5);
         assert_eq!(counts.total_nnz(), 3);
-        assert_eq!(counts.row_nonzeros(1), vec![(3, 11), (9, 4)]);
-        assert_eq!(counts.row_nonzeros(3), vec![(0, 7)]);
+        assert_eq!(counts.row_cells(1), [(3, 11), (9, 4)]);
+        assert_eq!(counts.row_cells(3), [(0, 7)]);
         for empty in [0, 2, 4] {
-            assert!(counts.row_nonzeros(empty).is_empty());
+            assert!(counts.row_cells(empty).is_empty());
         }
         assert_eq!(
             (counts.get(1, 9), counts.get(1, 8), counts.get(4, 0)),
             (4, 0, 0)
         );
-    }
-
-    #[test]
-    fn decode_fills_absent_cells_with_beta() {
-        let k = 32;
-        let phi = PhiModel::zeros(k, 2, Priors::paper(k));
-        phi.phi.add(1, 3, 11);
-        phi.phi.add(1, 17, 4);
-        let frozen = FrozenPhi::freeze(&phi);
-        let mut row = vec![0.0f32; k];
-        frozen.counts().decode_row_f32(1, 0.01, &mut row);
-        assert_eq!(row[0].to_bits(), 0.01f32.to_bits());
-        assert_eq!(row[3].to_bits(), (11.0f32 + 0.01).to_bits());
-        assert_eq!(row[17].to_bits(), (4.0f32 + 0.01).to_bits());
-        frozen.counts().decode_row_f32(0, 0.01, &mut row);
-        assert!(row.iter().all(|x| x.to_bits() == 0.01f32.to_bits()));
     }
 }

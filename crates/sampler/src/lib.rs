@@ -7,7 +7,7 @@
 //! * [`count`] — [`CountMatrix`], the hybrid dense/CSR count storage with
 //!   the per-row format argmin and the sparse-sampling cost model.
 //! * [`frozen`] — [`FrozenPhi`]/[`FrozenCounts`], the immutable lock-free
-//!   CSR ϕ snapshot the serving fold-in reads.
+//!   CSR ϕ snapshot the serving fold-in reads row by row as CSR cells.
 //! * [`model`] — ϕ (hybrid sparse/dense, word-major) and per-chunk θ (CSR,
 //!   u16) + assignments `z` (u16), with host-side oracles for both update
 //!   kernels.
@@ -23,14 +23,14 @@
 //!   splitting and smallest-ID-first scheduling.
 //! * [`kernel_sample`] — the warp-per-sampler sampling kernel (Algorithm 2).
 //! * [`kernel_infer`] — the warp-per-document fold-in kernel (serving path,
-//!   ϕ strictly read-only).
+//!   ϕ strictly read-only): the SparseLDA three-bucket draw and scorer,
+//!   `O(nnz_w + K_d)` per token, plus held-out log-predictive.
 //! * [`kernel_theta`] / [`kernel_phi`] — the Section 6.2 update kernels.
 //! * [`delta`] — [`PhiDelta`], the touched-row tracker feeding sparse Δϕ
 //!   synchronization (the ϕ kernel marks one row per block).
 //! * [`plan`] — [`KernelSet`]/[`IterationPlan`]: one GPU's iteration body
 //!   (sample → ϕ → θ, resident or pipelined) submitted as a unit.
 //! * [`dense`] — the textbook O(K) CGS used as correctness oracle/baseline.
-//! * [`infer`] — fold-in inference and held-out perplexity (extension).
 //! * [`validate`] — cross-kernel count-conservation checks.
 
 #![warn(missing_docs)]
@@ -43,7 +43,6 @@ pub mod delta;
 pub mod dense;
 pub mod frozen;
 pub mod hyper;
-pub mod infer;
 pub mod kernel_infer;
 pub mod kernel_phi;
 pub mod kernel_sample;
@@ -69,10 +68,9 @@ pub use delta::PhiDelta;
 pub use dense::DenseCgs;
 pub use frozen::{FrozenCounts, FrozenPhi};
 pub use hyper::Priors;
-pub use infer::FoldIn;
 pub use kernel_infer::{
     infer_reference, log_predictive, run_infer_kernel, try_run_infer_kernel, DocPosterior,
-    InferDoc, InferKernelConfig,
+    InferDoc, InferKernelConfig, Smoothing,
 };
 pub use kernel_phi::{
     run_phi_clear_kernel, run_phi_update_kernel, try_run_phi_clear_kernel,

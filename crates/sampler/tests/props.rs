@@ -173,10 +173,21 @@ fn fold_in_theta_always_conserves_length() {
             theta_dense: vec![],
             word: 0,
         };
-        let phi = build_phi(&case);
-        let fold = culda_sampler::FoldIn::new(&phi);
-        let theta = fold.infer_document(&words, iters, 9);
-        let total: u32 = theta.iter().sum();
+        let phi = culda_sampler::FrozenPhi::from_phi(build_phi(&case));
+        let mut cfg = culda_sampler::InferKernelConfig::new(9);
+        cfg.burnin = iters - 1;
+        cfg.samples = 1;
+        let doc = culda_sampler::InferDoc {
+            stream_id: 0,
+            words: &words,
+        };
+        let post = culda_sampler::infer_reference(
+            &phi,
+            &culda_sampler::Smoothing::new(&phi),
+            &[doc],
+            &cfg,
+        );
+        let total: u64 = post[0].theta_acc.iter().sum();
         assert_eq!(total as usize, words.len());
     }
 }

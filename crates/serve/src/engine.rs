@@ -28,6 +28,7 @@ use culda_metrics::{Breakdown, Histogram, Json, MetricsRegistry, Phase, TraceSin
 use culda_multigpu::{run_workers_traced, DrawMode, GpuWorker, RecoveryStats, RetryPolicy};
 use culda_sampler::{
     log_predictive, try_run_infer_kernel, DocPosterior, InferDoc, InferKernelConfig, LdaModel,
+    Smoothing,
 };
 use std::ops::Range;
 use std::sync::{Arc, Mutex, MutexGuard};
@@ -248,7 +249,9 @@ struct EngineState {
 #[derive(Debug)]
 pub struct InferenceEngine {
     model: Arc<FrozenModel>,
-    inv_denom: Vec<f32>,
+    /// The model's fold-in constants (`inv_denom` and the smoothing-bucket
+    /// tree), built once per model.
+    smoothing: Smoothing,
     cfg: ServeConfig,
     version: ModelVersion,
     faults: Option<Arc<FaultPlan>>,
@@ -279,10 +282,10 @@ impl InferenceEngine {
             })
             .collect();
         let alive = vec![true; workers.len()];
-        let inv_denom = model.inv_denominators();
+        let smoothing = Smoothing::new(&model);
         Self {
             model,
-            inv_denom,
+            smoothing,
             cfg,
             version: ModelVersion::unversioned(),
             faults: None,
@@ -468,7 +471,7 @@ impl InferenceEngine {
         let kcfg = self.cfg.kernel_config();
         let base_stream = st.docs_served;
         let phi = &*self.model;
-        let inv_denom = &self.inv_denom;
+        let smoothing = &self.smoothing;
         let retry = self.cfg.retry;
         let label = format!("infer batch {}", st.batches_served);
         let shards = run_shards(
@@ -480,7 +483,7 @@ impl InferenceEngine {
             docs,
             base_stream,
             phi,
-            inv_denom,
+            smoothing,
             &kcfg,
             retry,
         );
@@ -528,7 +531,7 @@ impl InferenceEngine {
                 docs,
                 base_stream,
                 phi,
-                inv_denom,
+                smoothing,
                 &kcfg,
                 retry,
             );
@@ -579,7 +582,7 @@ impl InferenceEngine {
                 }
             };
             let th = posterior.theta(doc.len(), alpha, k);
-            doc_log_predictive.push(log_predictive(&self.model, &self.inv_denom, doc, &th));
+            doc_log_predictive.push(log_predictive(&self.model, &self.smoothing, doc, &th));
             for (s, ll) in posterior.sweep_log_predictive.iter().enumerate() {
                 sweep_ll[s] += ll;
             }
@@ -674,7 +677,7 @@ fn run_shards(
     docs: &[Vec<u32>],
     base_stream: u64,
     phi: &FrozenModel,
-    inv_denom: &[f32],
+    smoothing: &Smoothing,
     kcfg: &InferKernelConfig,
     retry: RetryPolicy,
 ) -> Vec<WorkerShard> {
@@ -696,7 +699,7 @@ fn run_shards(
             let mut attempt = 1u32;
             loop {
                 let before = worker.device.now();
-                match try_run_infer_kernel(&worker.device, phi, inv_denom, &batch, kcfg) {
+                match try_run_infer_kernel(&worker.device, phi, smoothing, &batch, kcfg) {
                     Ok((posteriors, report)) => {
                         worker.breakdown.add(Phase::Inference, report.sim_seconds);
                         shard

@@ -9,7 +9,8 @@ use culda::corpus::{prune_vocab, Corpus, Document, PruneSpec, SynthSpec};
 use culda::gpusim::Platform;
 use culda::metrics::CoOccurrence;
 use culda::multigpu::{CuldaTrainer, TrainerConfig};
-use culda::sampler::{load_phi, save_phi, FoldIn, LdaModel};
+use culda::sampler::{save_phi, LdaModel};
+use culda::serve::{FrozenModel, InferenceEngine, ServeConfig};
 use std::collections::HashSet;
 
 fn main() {
@@ -64,8 +65,7 @@ fn main() {
     );
 
     // 4. Reload (as a serving process would) and fold in the held-out set.
-    let model = load_phi(checkpoint.as_slice()).expect("reload model");
-    let fold = FoldIn::new(&model);
+    let model = FrozenModel::load(checkpoint.as_slice()).expect("reload model");
     let remapped: Vec<Vec<u32>> = held_out
         .iter()
         .map(|d| {
@@ -76,10 +76,20 @@ fn main() {
         })
         .filter(|d| !d.is_empty())
         .collect();
-    let perplexity = fold.perplexity(&remapped, 20, 99);
+    let cfg = ServeConfig::builder(99)
+        .burnin(16)
+        .samples(4)
+        .build()
+        .expect("valid serve config");
+    let engine = InferenceEngine::new(model, cfg);
+    let perplexity = engine
+        .infer_batch(&remapped)
+        .expect("remapped words are in the model vocabulary")
+        .perplexity;
+    let model = engine.model();
     println!(
         "held-out perplexity: {perplexity:.1} (uniform would be {})",
-        model.vocab_size
+        model.vocab_size()
     );
 
     // 5. Topic coherence of the learned topics on the training documents.
@@ -107,5 +117,5 @@ fn main() {
         scores[k / 2],
         scores[k - 1]
     );
-    assert!(perplexity < model.vocab_size as f64, "must beat uniform");
+    assert!(perplexity < model.vocab_size() as f64, "must beat uniform");
 }

@@ -19,6 +19,11 @@ echo "==> fold-in golden test"
 # The serving fold-in's θ̂, log-predictive and modelled-charge digests are
 # pinned; any change to the fold-in read path must reproduce them exactly.
 cargo test -q --test inference fold_in_golden
+# The oracles the digests were regenerated behind: held-out perplexity
+# within 2% of the dense fold-in's, and the three-bucket draw's histogram
+# against the exact conditional (Eq. 1).
+cargo test -q --test inference fold_in_matches_dense_perplexity
+cargo test -q -p culda-sampler --lib three_bucket_draw_matches_exact_conditional
 
 echo "==> inference smoke test"
 smoke="$(mktemp -d)"

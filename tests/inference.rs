@@ -7,7 +7,7 @@ use culda::corpus::{split_held_out, Corpus, SynthSpec};
 use culda::gpusim::Platform;
 use culda::metrics::{Json, TraceSink, HOST_PID, SIM_PID};
 use culda::multigpu::{build_trainer, PartitionPolicy, TrainerConfig};
-use culda::serve::{FrozenModel, InferenceEngine, ServeConfig};
+use culda::serve::{FrozenModel, InferenceEngine, InferenceOutcome, ServeConfig};
 use std::collections::HashMap;
 use std::sync::{Arc, OnceLock};
 
@@ -228,11 +228,12 @@ struct FoldInDigest {
     dram_bytes: u64,
 }
 
-/// Trains a K-topic model, serves a held-out split through
-/// `InferenceEngine::infer_batch`, and digests the result. Asserts the
-/// served words cover both dense-resident and sparse-resident ϕ rows, so
-/// both layouts' read paths are pinned.
-fn fold_in_digest(k: usize, iterations: u32) -> FoldInDigest {
+/// Trains a K-topic model and serves a held-out split through
+/// `InferenceEngine::infer_batch`. Returns the outcome plus the modelled
+/// `lda_infer` DRAM bytes. Asserts the served words cover both
+/// dense-resident and sparse-resident live ϕ rows, so the snapshot is
+/// built from both layouts.
+fn fold_in_outcome(k: usize, iterations: u32) -> (InferenceOutcome, u64) {
     let mut spec = SynthSpec::tiny();
     spec.num_docs = 360;
     spec.avg_doc_len = 60.0;
@@ -272,26 +273,35 @@ fn fold_in_digest(k: usize, iterations: u32) -> FoldInDigest {
             .unwrap(),
     );
     let out = engine.infer_batch(&docs).unwrap();
-    let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
     let infer = engine
         .profile()
         .summaries()
         .into_iter()
         .find(|s| s.name == "lda_infer")
         .expect("lda_infer ran");
+    (out, infer.dram_bytes)
+}
+
+/// Digests [`fold_in_outcome`]: the exact f64 bits plus the modelled
+/// `lda_infer` charges.
+fn fold_in_digest(k: usize, iterations: u32) -> FoldInDigest {
+    let (out, dram_bytes) = fold_in_outcome(k, iterations);
+    let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
     FoldInDigest {
         theta: fnv1a(out.theta.iter().flat_map(|row| bits(row))),
         doc_log_predictive: fnv1a(bits(&out.doc_log_predictive)),
         perplexity_by_sweep: fnv1a(bits(&out.perplexity_by_sweep)),
         sim_seconds_bits: out.sim_seconds.to_bits(),
-        dram_bytes: infer.dram_bytes,
+        dram_bytes,
     }
 }
 
-// The digests below were captured from the mutex-guarded `CountMatrix`
-// read path; every later fold-in implementation must reproduce them bit
-// for bit (the kernel-vs-oracle test alone is circular: both share one
-// fold-in body).
+// The digests below pin the sparse three-bucket fold-in (SparseLDA's
+// q/r/s split of the conditional, `O(nnz_w + K_d)` per token) and its
+// sparse scorer and `lda_infer` charges. They were regenerated when that
+// path replaced the dense per-token draw, after the dense-perplexity and
+// draw-distribution oracles passed; the kernel-vs-oracle test alone is
+// circular (both share one fold-in body).
 
 #[test]
 fn fold_in_golden_small_k() {
@@ -299,11 +309,11 @@ fn fold_in_golden_small_k() {
     assert_eq!(
         got,
         FoldInDigest {
-            theta: 0x256f55130134275f,
-            doc_log_predictive: 0x6e279f6e0bf5d821,
-            perplexity_by_sweep: 0x427928f24b3af7cd,
-            sim_seconds_bits: 0x3ef926cb7e665d1e,
-            dram_bytes: 651_408,
+            theta: 0xdb3a381c0009d43b,
+            doc_log_predictive: 0x3b01356f112cdaff,
+            perplexity_by_sweep: 0xd4aeaae88a28f8fc,
+            sim_seconds_bits: 0x3ef4a3e2eff39a60,
+            dram_bytes: 368_868,
         }
     );
 }
@@ -314,11 +324,36 @@ fn fold_in_golden_k1024() {
     assert_eq!(
         got,
         FoldInDigest {
-            theta: 0x712afc571128780a,
-            doc_log_predictive: 0x8772e782c01e3441,
-            perplexity_by_sweep: 0x2842b5cd0518905e,
-            sim_seconds_bits: 0x3f44e61d6ee097e6,
-            dram_bytes: 40_689_168,
+            theta: 0x5c17f3715f64365e,
+            doc_log_predictive: 0xf3edc1f0e1285ddf,
+            perplexity_by_sweep: 0x044cdb5f77d67308,
+            sim_seconds_bits: 0x3f1f067f73370f5a,
+            dram_bytes: 6_795_948,
         }
     );
+}
+
+/// Held-out perplexity of the `fold_in_outcome` corpora as the dense
+/// per-token fold-in (one K-leaf tree rebuilt per token, K-wide scoring)
+/// served it, before the three-bucket sampler replaced it.
+const DENSE_PERPLEXITY_K16: f64 = 62.614_477_791_193_18;
+const DENSE_PERPLEXITY_K1024: f64 = 58.350_910_157_798_93;
+
+/// The sparse fold-in draws from the same conditional as the dense one,
+/// so on the same corpora its held-out perplexity must land within 2%.
+#[test]
+fn fold_in_matches_dense_perplexity() {
+    for (k, iterations, dense) in [
+        (16, 6, DENSE_PERPLEXITY_K16),
+        (1024, 2, DENSE_PERPLEXITY_K1024),
+    ] {
+        let (out, _) = fold_in_outcome(k, iterations);
+        let rel = (out.perplexity - dense).abs() / dense;
+        assert!(
+            rel < 0.02,
+            "K = {k}: perplexity {} vs dense {dense} ({:.3}% off)",
+            out.perplexity,
+            rel * 100.0
+        );
+    }
 }

@@ -334,8 +334,6 @@ fn frozen_snapshot_reads_match_the_live_count_matrix() {
             let mut bytes = Vec::new();
             save_phi(&phi, &mut bytes).unwrap();
             let loaded = FrozenPhi::load(&bytes[..]).unwrap();
-            let beta32 = priors.beta as f32;
-            let (mut f32_row, mut f64_row) = (vec![0.0f32; k], vec![0.0f64; k]);
             for snap in [&frozen, &loaded] {
                 let counts = snap.counts();
                 assert_eq!(counts.total_nnz(), phi.phi.total_nnz());
@@ -345,14 +343,19 @@ fn frozen_snapshot_reads_match_the_live_count_matrix() {
                     saw_dense |= live_dense;
                     saw_sparse |= nnz > 0 && !live_dense;
                     saw_empty |= nnz == 0;
-                    assert_eq!(counts.row_nonzeros(row), phi.phi.row_nonzeros(row));
-                    counts.decode_row_f32(row, beta32, &mut f32_row);
-                    counts.decode_row_f64(row, priors.beta, &mut f64_row);
+                    let cells = counts.row_cells(row);
+                    assert_eq!(cells, phi.phi.row_nonzeros(row));
+                    // Every topic the cells omit reads as zero, live and
+                    // frozen alike.
+                    let mut cell = cells.iter().peekable();
                     for t in 0..k {
                         let live = phi.phi.get(row, t);
                         assert_eq!(counts.get(row, t), live, "k={k} ({row}, {t})");
-                        assert_eq!(f32_row[t].to_bits(), (live as f32 + beta32).to_bits());
-                        assert_eq!(f64_row[t].to_bits(), (live as f64 + priors.beta).to_bits());
+                        let stored = match cell.next_if(|&&(c, _)| c as usize == t) {
+                            Some(&(_, n)) => n,
+                            None => 0,
+                        };
+                        assert_eq!(stored, live, "k={k} ({row}, {t})");
                     }
                 }
                 for t in 0..k {
