@@ -7,20 +7,32 @@
 
 use culda::corpus::SynthSpec;
 use culda::gpusim::Platform;
-use culda::multigpu::{CuldaTrainer, TrainerConfig};
+use culda::multigpu::{
+    CuldaTrainer, DrawMode, SamplingMode, SyncMode, TrainerConfig, WordPartitionedTrainer,
+};
 
 /// FNV-1a over the concatenated assignment vectors.
-fn z_fingerprint(trainer: &CuldaTrainer) -> u64 {
+fn fingerprint<'a>(zs: impl IntoIterator<Item = &'a [u16]>) -> u64 {
     let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for state in trainer.states() {
-        for z in state.z.snapshot() {
-            for b in z.to_le_bytes() {
-                h ^= b as u64;
-                h = h.wrapping_mul(0x1000_0000_01b3);
-            }
+    for z in zs.into_iter().flatten() {
+        for b in z.to_le_bytes() {
+            h ^= b as u64;
+            h = h.wrapping_mul(0x1000_0000_01b3);
         }
     }
     h
+}
+
+fn z_fingerprint(trainer: &CuldaTrainer) -> u64 {
+    let zs: Vec<Vec<u16>> = trainer.states().iter().map(|s| s.z.snapshot()).collect();
+    fingerprint(zs.iter().map(Vec::as_slice))
+}
+
+/// Prints a golden value when `CULDA_PRINT_GOLDEN` is set.
+fn print_golden(line: impl FnOnce() -> String) {
+    if std::env::var("CULDA_PRINT_GOLDEN").is_ok() {
+        println!("GOLDEN {}", line());
+    }
 }
 
 fn run() -> (u64, f64) {
@@ -51,10 +63,7 @@ fn fixed_seed_run_is_pinned() {
     assert_eq!(fp_a, fp_b);
     assert_eq!(ll_a.to_bits(), ll_b.to_bits());
     // Golden values (update deliberately, never accidentally):
-    let golden = std::env::var("CULDA_PRINT_GOLDEN").is_ok();
-    if golden {
-        println!("GOLDEN fingerprint = {fp_a:#018x}, loglik = {ll_a:.12}");
-    }
+    print_golden(|| format!("fingerprint = {fp_a:#018x}, loglik = {ll_a:.12}"));
     assert_eq!(
         fp_a, GOLDEN_FINGERPRINT,
         "assignment chain changed — if intentional, update GOLDEN_FINGERPRINT \
@@ -72,3 +81,89 @@ fn fixed_seed_run_is_pinned() {
 // the whole assignment chain.
 const GOLDEN_FINGERPRINT: u64 = 0x70c6d5206fa8ac32;
 const GOLDEN_LOGLIK: f64 = -5.616761715172;
+
+/// A NYTimes-like corpus at K = 1024 on 2 Pascal GPUs with every mode on
+/// auto: documents are long enough that many consecutive tokens of one
+/// word share a document, and their θ-row support straddles the `p1`
+/// spill predicate, so both the tree and the butterfly draw engines run.
+/// Pins the assignment chain and the modelled clock: per-iteration
+/// simulated seconds and the `lda_sample` DRAM bytes.
+fn run_k1024() -> (u64, Vec<u64>, u64) {
+    let mut spec = SynthSpec::nytimes_like(0.0002);
+    spec.seed = 0x4B31_0240;
+    let corpus = spec.generate();
+    let cfg = TrainerConfig::builder(1024, Platform::pascal().with_gpus(2))
+        .iterations(3)
+        .score_every(0)
+        .seed(0x601DE5)
+        .sync_mode(SyncMode::Auto)
+        .sampling_mode(SamplingMode::Auto)
+        .draw_mode(DrawMode::Auto)
+        .build()
+        .unwrap();
+    let mut t = CuldaTrainer::new(&corpus, cfg);
+    let sim_bits: Vec<u64> = (0..3).map(|_| t.step().sim_seconds.to_bits()).collect();
+    let sample_bytes = t
+        .profile()
+        .summaries()
+        .into_iter()
+        .find(|s| s.name == "lda_sample")
+        .expect("lda_sample ran")
+        .dram_bytes;
+    (z_fingerprint(&t), sim_bits, sample_bytes)
+}
+
+#[test]
+fn k1024_auto_modes_run_is_pinned() {
+    let (fp, sim_bits, bytes) = run_k1024();
+    print_golden(|| {
+        format!("k1024 fingerprint = {fp:#018x}, sim = {sim_bits:x?}, bytes = {bytes}")
+    });
+    assert_eq!(fp, K1024_FINGERPRINT, "K = 1024 assignment chain changed");
+    assert_eq!(sim_bits, K1024_SIM_SECONDS_BITS, "modelled seconds changed");
+    assert_eq!(
+        bytes, K1024_SAMPLE_DRAM_BYTES,
+        "lda_sample DRAM bytes changed"
+    );
+}
+
+/// The partition-by-word trainer's chain on a small corpus.
+fn run_word_policy() -> u64 {
+    let mut spec = SynthSpec::tiny();
+    spec.num_docs = 80;
+    spec.vocab_size = 150;
+    spec.avg_doc_len = 40.0;
+    spec.seed = 0xD0C5;
+    let corpus = spec.generate();
+    let cfg = TrainerConfig::builder(16, Platform::pascal().with_gpus(2))
+        .iterations(3)
+        .score_every(0)
+        .seed(0x601DE6)
+        .build()
+        .unwrap();
+    let mut t = WordPartitionedTrainer::new(&corpus, cfg);
+    for _ in 0..3 {
+        t.step();
+    }
+    let zs = t.assignments();
+    fingerprint(zs.iter().map(Vec::as_slice))
+}
+
+#[test]
+fn word_partitioned_run_is_pinned() {
+    let fp = run_word_policy();
+    print_golden(|| format!("word-policy fingerprint = {fp:#018x}"));
+    assert_eq!(
+        fp, WORD_POLICY_FINGERPRINT,
+        "word-policy assignment chain changed"
+    );
+}
+
+// Captured before the sampler's host execution reused p1 prefixes across
+// consecutive tokens of one (word, document) run; that change must keep
+// all three pins.
+const K1024_FINGERPRINT: u64 = 0x08cb698a5a8f6297;
+const K1024_SIM_SECONDS_BITS: [u64; 3] =
+    [0x3f2061261b58a1f3, 0x3f1bc11c0d1230ee, 0x3f17eceec0eeee00];
+const K1024_SAMPLE_DRAM_BYTES: u64 = 103_219_918;
+const WORD_POLICY_FINGERPRINT: u64 = 0x2d0e2a17d356406a;
