@@ -119,7 +119,7 @@ fn main() {
     );
 
     let json = format!(
-        "{{\n  \"benchmark\": \"4-GPU NYTimes-like run, host wall-clock, sequential vs concurrent per-GPU iteration bodies\",\n  \"workload\": {{\n    \"preset\": \"nytimes_like\",\n    \"scale\": {scale},\n    \"num_docs\": {},\n    \"num_tokens\": {},\n    \"vocab_size\": {},\n    \"topics\": {BENCH_TOPICS},\n    \"iterations\": {iters},\n    \"platform\": \"pascal\",\n    \"gpus\": 4\n  }},\n  \"host_cpus\": {host_cpus},\n  \"note\": \"on a single-CPU host the concurrent fan-out cannot beat sequential wall-clock; the win is that it also does not cost anything (4-GPU wall stays within 1.5x of 1-GPU) while each body runs on its own thread\",\n  \"before_wall_seconds\": {:.4},\n  \"after_wall_seconds\": {:.4},\n  \"one_gpu_wall_seconds\": {:.4},\n  \"host_speedup\": {:.3},\n  \"four_gpu_wall_over_one_gpu_wall\": {:.3},\n  \"sim_seconds_4gpu\": {:.6},\n  \"sim_seconds_1gpu\": {:.6},\n  \"sim_clocks_and_results_bit_identical\": true\n}}\n",
+        "{{\n  \"benchmark\": \"4-GPU NYTimes-like run, host wall-clock, sequential vs concurrent per-GPU iteration bodies\",\n  \"workload\": {{\n    \"preset\": \"nytimes_like\",\n    \"scale\": {scale},\n    \"num_docs\": {},\n    \"num_tokens\": {},\n    \"vocab_size\": {},\n    \"topics\": {BENCH_TOPICS},\n    \"iterations\": {iters},\n    \"platform\": \"pascal\",\n    \"gpus\": 4\n  }},\n  \"host_cpus\": {host_cpus},\n  \"note\": \"the concurrent fan-out runs each GPU body on its own host thread, so host_speedup is bounded by min(host_cpus, gpus); on a single-CPU host it cannot beat sequential wall-clock and only has to cost nothing\",\n  \"before_wall_seconds\": {:.4},\n  \"after_wall_seconds\": {:.4},\n  \"one_gpu_wall_seconds\": {:.4},\n  \"host_speedup\": {:.3},\n  \"four_gpu_wall_over_one_gpu_wall\": {:.3},\n  \"sim_seconds_4gpu\": {:.6},\n  \"sim_seconds_1gpu\": {:.6},\n  \"sim_clocks_and_results_bit_identical\": true\n}}\n",
         corpus.num_docs(),
         corpus.num_tokens(),
         corpus.vocab_size(),

@@ -53,6 +53,15 @@ impl SharedMem {
     /// simulated equivalent of a CUDA launch failure from oversized
     /// `__shared__` declarations.
     pub fn alloc<T: Default + Clone>(&mut self, n: usize) -> Vec<T> {
+        self.claim::<T>(n);
+        vec![T::default(); n]
+    }
+
+    /// Claims `n` elements of `T` from the budget without host backing
+    /// storage — for kernels whose host execution keeps the array in
+    /// scratch reused across blocks. Same budget and panic as
+    /// [`alloc`](Self::alloc).
+    pub fn claim<T>(&mut self, n: usize) {
         let bytes = n
             .checked_mul(std::mem::size_of::<T>())
             .expect("shared allocation size overflow");
@@ -63,7 +72,6 @@ impl SharedMem {
             self.budget
         );
         self.used += bytes;
-        vec![T::default(); n]
     }
 
     /// Releases `n` elements of `T` (blocks reuse the arena across phases,

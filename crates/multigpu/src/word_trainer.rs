@@ -28,7 +28,7 @@ use culda_metrics::{
     SIM_PID, SYNC_TID,
 };
 use culda_sampler::ptree::{IndexTree, DEFAULT_FANOUT};
-use culda_sampler::spq::p1_weights;
+use culda_sampler::spq::{draw_token, P1Run};
 use culda_sampler::{choose_sparse_sampling, pstar_block_cost, PhiModel, Priors};
 use std::sync::Arc;
 
@@ -356,24 +356,22 @@ impl WordPartitionedTrainer {
                     phi.phi.fill_smoothed(w, beta, &inv_denom, &mut pstar);
                     let block_tree = IndexTree::build(&pstar, DEFAULT_FANOUT);
                     ctx.shared_access(2 * k * 4);
+                    // One sampler walks the word's tokens in document
+                    // order, so a run of same-document tokens shares one
+                    // p1 prefix and tree (the kernel's `P1Run` reuse).
                     let mut p1_tree = IndexTree::build(&[1.0f32], DEFAULT_FANOUT);
-                    let mut weights = Vec::new();
+                    let mut run = P1Run::new();
                     for t in word_ptr[wi]..word_ptr[wi + 1] {
                         let d = token_doc[t] as usize;
                         let (cols, vals) = theta.row(d);
                         ctx.dram_read(4 + cols.len() * (if compressed { 2 } else { 4 } + 4));
                         ctx.flop(3 * cols.len());
-                        let s = p1_weights(cols, vals, &pstar, &mut weights);
-                        let q = alpha * block_tree.total();
+                        let s = run.enter(d, cols, vals, &pstar);
                         let mut rng = Xoshiro256::from_seed_stream(stream_seed, token_stream[t]);
-                        let ub = rng.next_f32();
-                        let ui = rng.next_f32();
-                        let topic = if s > 0.0 && ub < s / (s + q) {
-                            p1_tree.rebuild(&weights);
-                            cols[p1_tree.sample_scaled(ui * s).0]
-                        } else {
-                            block_tree.sample_scaled(ui * block_tree.total()).0 as u16
-                        };
+                        let topic = draw_token(s, cols, &block_tree, alpha, &mut rng, |x| {
+                            run.sample_tree(&mut p1_tree, x)
+                        })
+                        .topic;
                         z.store(t, topic);
                         ctx.dram_write(2);
                     }

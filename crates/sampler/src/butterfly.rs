@@ -26,9 +26,10 @@
 //! final 32-wide window when the distribution exceeds one register tile.
 //!
 //! **Bit-identity.** The butterfly changes *where bytes live*, never what
-//! is computed: [`ButterflyBatch::set_lane`] accumulates the f32 prefix in
-//! the same serial order as
-//! [`IndexTree::rebuild`](crate::ptree::IndexTree::rebuild), and
+//! is computed: [`ButterflyBatch::set_lane_prefix`] stores the same
+//! serially-accumulated f32 prefix
+//! ([`p1_prefix`](crate::spq::p1_prefix)) the tree path takes as its
+//! leaves, and
 //! [`ButterflyBatch::select`] is the lower-bound rule — first `j` with
 //! `x < prefix[j]` — which is exactly
 //! [`linear_search`](crate::ptree::linear_search), which is exactly what
@@ -73,26 +74,22 @@ impl ButterflyBatch {
         }
     }
 
-    /// Writes lane `lane`'s inclusive prefix sums over `weights` into the
-    /// interleaved layout and returns the total. The accumulation order is
-    /// serial — identical to [`IndexTree::rebuild`] — so the stored
-    /// prefixes (and any draw over them) are bit-identical to the tree
+    /// Writes lane `lane`'s inclusive prefix sums into the interleaved
+    /// layout. The sampler computes the prefix in one serial pass (the
+    /// same f32 order the tree path stores as its leaves), so the stored
+    /// entries — and any draw over them — are bit-identical to the tree
     /// path's.
-    pub fn set_lane(&mut self, lane: usize, weights: &[f32]) -> f32 {
+    pub fn set_lane_prefix(&mut self, lane: usize, prefix: &[f32]) {
         assert!(lane < WARP_SIZE, "lane {lane} out of warp");
-        assert!(!weights.is_empty(), "empty distribution");
-        let needed = weights.len() * WARP_SIZE;
+        assert!(!prefix.is_empty(), "empty distribution");
+        let needed = prefix.len() * WARP_SIZE;
         if self.data.len() < needed {
             self.data.resize(needed, 0.0);
         }
-        let mut acc = 0.0f32;
-        for (j, &w) in weights.iter().enumerate() {
-            debug_assert!(w >= 0.0 && w.is_finite(), "bad weight {w}");
-            acc += w;
-            self.data[j * WARP_SIZE + lane] = acc;
+        for (j, &p) in prefix.iter().enumerate() {
+            self.data[j * WARP_SIZE + lane] = p;
         }
-        self.lens[lane] = weights.len();
-        acc
+        self.lens[lane] = prefix.len();
     }
 
     /// Number of prefix entries stored for `lane`.
@@ -285,23 +282,45 @@ mod tests {
             .collect()
     }
 
+    /// Inclusive serial prefix sums of `w` (what the kernel's one pass
+    /// writes).
+    fn serial_prefix(w: &[f32]) -> Vec<f32> {
+        w.iter()
+            .scan(0.0f32, |acc, &v| {
+                *acc += v;
+                Some(*acc)
+            })
+            .collect()
+    }
+
     #[test]
-    fn set_lane_total_is_bit_identical_to_serial_accumulation() {
+    fn one_pass_prefix_matches_the_two_pass_tree_leaves_bit_for_bit() {
+        // The fused p1 pass (weights and prefix in one loop) against the
+        // old weights-then-rebuild pair: same leaves, same S, and the lane
+        // stores exactly those bits.
         let mut rng = 0xb0b_cafeu64;
         let mut batch = ButterflyBatch::new();
+        let mut tree = IndexTree::build(&[1.0f32], DEFAULT_FANOUT);
+        let mut prefix = Vec::new();
         for n in [1usize, 3, 32, 33, 100, 1000] {
-            let w = random_weights(&mut rng, n);
-            let total = batch.set_lane(7, &w);
-            let mut acc = 0.0f32;
-            for &v in &w {
-                acc += v;
-            }
-            assert_eq!(total.to_bits(), acc.to_bits(), "n = {n}");
-            // Stored prefixes match the serial order bit-for-bit too.
-            let mut acc = 0.0f32;
-            for (j, &v) in w.iter().enumerate() {
-                acc += v;
-                assert_eq!(batch.prefix_value(7, j).to_bits(), acc.to_bits());
+            let pstar: Vec<f32> = random_weights(&mut rng, n)
+                .into_iter()
+                .map(|p| p + 0.01)
+                .collect();
+            let cols: Vec<u16> = (0..n as u16).rev().collect();
+            let vals: Vec<u32> = (0..n)
+                .map(|_| (xorshift(&mut rng) % 9) as u32 + 1)
+                .collect();
+            let s = crate::spq::p1_prefix(&cols, &vals, &pstar, &mut prefix);
+            let mut weights = Vec::new();
+            let s_two_pass = crate::spq::p1_weights(&cols, &vals, &pstar, &mut weights);
+            tree.rebuild(&weights);
+            assert_eq!(s.to_bits(), s_two_pass.to_bits(), "n = {n}");
+            assert_eq!(s.to_bits(), tree.total().to_bits(), "n = {n}");
+            batch.set_lane_prefix(7, &prefix);
+            for (j, &p) in tree.prefix().iter().enumerate() {
+                assert_eq!(prefix[j].to_bits(), p.to_bits(), "n = {n}, j = {j}");
+                assert_eq!(batch.prefix_value(7, j).to_bits(), p.to_bits());
             }
         }
     }
@@ -315,12 +334,12 @@ mod tests {
         for trial in 0..100 {
             let n = (xorshift(&mut rng) % 200) as usize + 1;
             let lane = (xorshift(&mut rng) % WARP_SIZE as u64) as usize;
-            let w = random_weights(&mut rng, n);
-            let total = batch.set_lane(lane, &w);
+            let prefix = serial_prefix(&random_weights(&mut rng, n));
+            batch.set_lane_prefix(lane, &prefix);
+            let total = prefix[n - 1];
             if total <= 0.0 {
                 continue; // all-zero lane: the kernel never draws from it
             }
-            let prefix: Vec<f32> = (0..n).map(|j| batch.prefix_value(lane, j)).collect();
             for i in 0..=64 {
                 // Sweep through [0, total] inclusive: the endpoint checks
                 // the rounding fallback (x == total → last index).
@@ -350,8 +369,8 @@ mod tests {
             }
             tree.rebuild(&w);
             let lane = (trial % WARP_SIZE as u64) as usize;
-            let total = batch.set_lane(lane, &w);
-            assert_eq!(total.to_bits(), tree.total().to_bits());
+            batch.set_lane_prefix(lane, &serial_prefix(&w));
+            let total = tree.total();
             for i in 0..64 {
                 let x = total * (i as f32 / 64.0);
                 let (tree_idx, _, _) = tree.sample_scaled(x);
@@ -368,7 +387,7 @@ mod tests {
         let mut batch = ButterflyBatch::new();
         let kd = 100;
         for lane in 0..WARP_SIZE {
-            batch.set_lane(lane, &vec![1.0f32; kd]);
+            batch.set_lane_prefix(lane, &serial_prefix(&vec![1.0f32; kd]));
         }
         for step in 0..kd {
             let addrs = batch.step_addresses(step);
@@ -390,11 +409,11 @@ mod tests {
     #[test]
     fn batch_reuses_its_allocation_across_tokens() {
         let mut batch = ButterflyBatch::new();
-        batch.set_lane(0, &[1.0f32; 500]);
+        batch.set_lane_prefix(0, &[1.0f32; 500]);
         let cap = batch.data.capacity();
         // Smaller and equal-size reloads must not reallocate.
-        batch.set_lane(0, &[2.0f32; 10]);
-        batch.set_lane(31, &[3.0f32; 500]);
+        batch.set_lane_prefix(0, &[2.0f32; 10]);
+        batch.set_lane_prefix(31, &[3.0f32; 500]);
         assert_eq!(batch.data.capacity(), cap);
         assert_eq!(batch.lane_len(0), 10);
         assert_eq!(batch.lane_len(31), 500);

@@ -3,7 +3,7 @@
 //! One thread block = 32 warp-samplers, all working on tokens of the *same
 //! word* so they share that word's `p*(k)` vector and `p2` index tree in
 //! shared memory (one tree serves both, since `p2 = α·p*`). Each sampler
-//! keeps a private, allocation-reused index tree for its token's sparse
+//! keeps a private index tree (or a butterfly lane) for its token's sparse
 //! `p1(k)`.
 //!
 //! The kernel is *read-only* with respect to the model: θ and ϕ are fixed
@@ -23,10 +23,11 @@ use crate::butterfly::{butterfly_p1_cost, p1_scratch_floats, search_steps, tree_
 use crate::mode::DrawMode;
 use crate::model::{ChunkState, PhiModel};
 use crate::ptree::{IndexTree, DEFAULT_FANOUT};
-use crate::spq::p1_weights;
+use crate::spq::{draw_token, p1_prefix, P1Run, TokenDraw};
 use culda_corpus::{SortedChunk, Xoshiro256};
 use culda_gpusim::warp::WARP_SIZE;
 use culda_gpusim::{BlockCtx, Device, KernelSpec, LaunchPhase, LaunchReport, SimFault};
+use std::cell::RefCell;
 
 /// Tuning and bookkeeping for one sampling launch.
 #[derive(Debug, Clone, Copy)]
@@ -94,63 +95,41 @@ struct SamplerInstruments {
     tree_depth: std::sync::Arc<culda_metrics::Histogram>,
 }
 
-/// The machinery a sampler resolves its sparse `p1` draw with. Both
-/// engines compute the same serially-accumulated f32 prefix and the same
-/// lower-bound rule over it, so the drawn topic is bit-identical; they
-/// differ only in the modelled memory layout the caller charges for
-/// ([`tree_p1_cost`] vs [`butterfly_p1_cost`]).
-enum P1Engine<'a> {
-    /// The classic private Figure-5 index tree (also the host oracle's
-    /// engine). Reports its walk's (shared, leaf) touch counts.
-    Tree(&'a mut IndexTree),
-    /// The block's butterfly-interleaved partial-sum batch; `lane` is this
-    /// sampler's slot in the warp. Touch counts are zero — the search runs
-    /// over register-resident partials and the caller charges the
-    /// coalesced-segment cost model instead.
-    Butterfly {
-        batch: &'a mut ButterflyBatch,
-        lane: usize,
-    },
+/// Host scratch for one block: the `p*` buffer and its tree, the run
+/// cache, and both `p1` engines. Both engines compute the same
+/// serially-accumulated f32 prefix and the same lower-bound rule over it,
+/// so the drawn topic is bit-identical; they differ only in the modelled
+/// memory layout the kernel charges for ([`tree_p1_cost`] vs
+/// [`butterfly_p1_cost`]).
+struct BlockScratch {
+    pstar: Vec<f32>,
+    /// The block-shared `p*` tree (serves `Q` and the `p2` draw).
+    block_tree: IndexTree,
+    run: P1Run,
+    /// The classic private Figure-5 `p1` index tree (also the host
+    /// oracle's engine).
+    p1_tree: IndexTree,
+    /// The block's butterfly-interleaved partial sums; sampler `s` owns
+    /// lane `s % 32`.
+    butterfly: ButterflyBatch,
 }
 
-/// Draws one token's topic; returns the topic plus the
-/// (shared_touches, leaf_touches) of the walk for traffic accounting and
-/// whether the sparse `p1` branch was taken (the warp-divergent decision).
-#[inline]
-#[allow(clippy::too_many_arguments)] // mirrors the CUDA kernel's register set
-fn draw_token(
-    theta_cols: &[u16],
-    theta_vals: &[u32],
-    pstar: &[f32],
-    block_tree: &IndexTree,
-    alpha: f32,
-    rng: &mut Xoshiro256,
-    engine: P1Engine<'_>,
-    weights: &mut Vec<f32>,
-) -> (u16, usize, usize, bool) {
-    let s = p1_weights(theta_cols, theta_vals, pstar, weights);
-    let q = alpha * block_tree.total();
-    let u_branch = rng.next_f32();
-    let u_inner = rng.next_f32();
-    if s > 0.0 && u_branch < s / (s + q) {
-        match engine {
-            P1Engine::Tree(p1_tree) => {
-                p1_tree.rebuild(weights);
-                let (idx, sh, lf) = p1_tree.sample_scaled(u_inner * s);
-                (theta_cols[idx], sh, lf, true)
-            }
-            P1Engine::Butterfly { batch, lane } => {
-                let total = batch.set_lane(lane, weights);
-                // Same serial accumulation order → same total, bit for bit.
-                debug_assert_eq!(total.to_bits(), s.to_bits());
-                let idx = batch.select(lane, u_inner * s);
-                (theta_cols[idx], 0, 0, true)
-            }
+impl BlockScratch {
+    fn new() -> Self {
+        Self {
+            pstar: Vec::new(),
+            block_tree: IndexTree::build(&[1.0f32], DEFAULT_FANOUT),
+            run: P1Run::new(),
+            p1_tree: IndexTree::build(&[1.0f32], DEFAULT_FANOUT),
+            butterfly: ButterflyBatch::new(),
         }
-    } else {
-        let (k, sh, lf) = block_tree.sample_scaled(u_inner * block_tree.total());
-        (k as u16, sh, lf, false)
     }
+}
+
+thread_local! {
+    /// One scratch per executor thread, reused by every block it runs —
+    /// never allocated per block, per sampler or per token.
+    static SCRATCH: RefCell<Option<BlockScratch>> = const { RefCell::new(None) };
 }
 
 /// Launches the sampling kernel for one chunk on `device`. Writes new
@@ -222,20 +201,29 @@ pub fn try_run_sampling_kernel(
             DrawMode::Auto => DrawMode::Butterfly,
             fixed => fixed,
         };
-        let mut pstar = if shared_ok {
-            ctx.shared.alloc::<f32>(k)
-        } else {
-            vec![0.0f32; k]
-        };
+        // Host buffers come from this executor thread's scratch; the
+        // shared-memory budget is claimed exactly as before.
+        let mut scratch = SCRATCH.take().unwrap_or_else(BlockScratch::new);
+        let BlockScratch {
+            pstar,
+            block_tree,
+            run,
+            p1_tree,
+            butterfly: batch,
+        } = &mut scratch;
+        if shared_ok {
+            ctx.shared.claim::<f32>(k);
+        }
+        pstar.resize(k, 0.0);
         // ϕ row load + p* compute + tree build. The numbers are identical
         // on both paths (the hybrid layout's smoothed read is bit-exact);
         // only the *modelled* traffic depends on `cfg.sparse`: the dense
         // path streams all K ϕ entries, the sparse path streams only the
         // row's CSR cells and patches the iteration-constant β-baseline.
         let row_nnz = phi.phi.row_nnz(word);
-        phi.phi.fill_smoothed(word, beta, inv_denom, &mut pstar);
+        phi.phi.fill_smoothed(word, beta, inv_denom, pstar);
         // Build the shared p*(k) tree (prefix + upper levels).
-        let block_tree = IndexTree::build(&pstar, DEFAULT_FANOUT);
+        block_tree.rebuild(pstar);
         let tree_bytes = block_tree.leaf_bytes() + block_tree.shared_bytes();
         let pstar_cost = crate::count::pstar_block_cost(
             k,
@@ -263,9 +251,8 @@ pub fn try_run_sampling_kernel(
         }
         if shared_ok {
             // Prefix leaves + upper nodes written to shared memory.
-            let _tree_shared = ctx
-                .shared
-                .alloc::<u8>(tree_bytes.min(ctx.shared.available()));
+            ctx.shared
+                .claim::<u8>(tree_bytes.min(ctx.shared.available()));
             ctx.shared_access(pstar_cost.shared);
         } else {
             ctx.dram_write(pstar_cost.dram_write);
@@ -285,17 +272,14 @@ pub fn try_run_sampling_kernel(
                 ways: 4,
             })
         });
-        // One butterfly batch serves the whole block (allocation-reused
-        // across tokens, like the private trees it replaces).
-        let mut butter = (draw == DrawMode::Butterfly).then(ButterflyBatch::new);
+        let butterfly = draw == DrawMode::Butterfly;
         for s in 0..SAMPLERS_PER_BLOCK {
             let tokens = work.sampler_tokens(s);
             if tokens.is_empty() {
                 continue;
             }
-            // Private, allocation-reused p1 tree and weight scratch.
-            let mut p1_tree = IndexTree::build(&[1.0f32], DEFAULT_FANOUT);
-            let mut weights: Vec<f32> = Vec::new();
+            let lane = s % WARP_SIZE;
+            run.reset();
             let mut prev_branch: Option<bool> = None;
             for t in tokens {
                 let d = chunk.token_doc[t] as usize;
@@ -319,32 +303,30 @@ pub fn try_run_sampling_kernel(
                     }
                 }
                 // p1 weights: one mul + one add each, p* served on-chip
-                // when cached.
+                // when cached. The device recomputes them per token, so
+                // every token is charged; the host reuses the run's
+                // prefix (bit-identical, see `P1Run`).
                 ctx.flop(2 * kd);
                 if shared_ok {
                     ctx.shared_access(kd * 4);
                 } else {
                     ctx.dram_read(kd * 4);
                 }
+                let s_mass = run.enter(d, cols, vals, pstar);
                 let mut rng =
                     Xoshiro256::from_seed_stream(stream_seed, cfg.chunk_token_offset + t as u64);
-                let engine = match &mut butter {
-                    Some(batch) => P1Engine::Butterfly {
-                        batch,
-                        lane: s % WARP_SIZE,
-                    },
-                    None => P1Engine::Tree(&mut p1_tree),
-                };
-                let (topic, sh_touch, leaf_touch, took_p1) = draw_token(
-                    cols,
-                    vals,
-                    &pstar,
-                    &block_tree,
-                    alpha,
-                    &mut rng,
-                    engine,
-                    &mut weights,
-                );
+                let TokenDraw {
+                    topic,
+                    sh_touch,
+                    leaf_touch,
+                    took_p1,
+                } = draw_token(s_mass, cols, block_tree, alpha, &mut rng, |x| {
+                    if butterfly {
+                        (run.sample_butterfly(batch, lane, x), 0, 0)
+                    } else {
+                        run.sample_tree(p1_tree, x)
+                    }
+                });
                 if let Some(ins) = &instruments {
                     if took_p1 {
                         ins.p1_draws.inc();
@@ -393,12 +375,15 @@ pub fn try_run_sampling_kernel(
                 ctx.dram_write(2);
             }
         }
+        SCRATCH.set(Some(scratch));
     })
 }
 
 /// Host-side oracle: computes the exact assignments the kernel must
-/// produce, using the same per-token RNG streams and tree code but no
-/// device, no blocks, no concurrency. Tests compare `z` buffers.
+/// produce, using the same per-token RNG streams, branch/draw rule and tree
+/// code but no device, no blocks, no concurrency and no run reuse: every
+/// token recomputes its `p1` prefix and rebuilds its tree. Tests compare
+/// `z` buffers.
 pub fn sample_chunk_reference(
     chunk: &SortedChunk,
     state: &ChunkState,
@@ -417,23 +402,18 @@ pub fn sample_chunk_reference(
             .fill_smoothed(w as usize, beta, inv_denom, &mut pstar);
         let block_tree = IndexTree::build(&pstar, DEFAULT_FANOUT);
         let mut p1_tree = IndexTree::build(&[1.0f32], DEFAULT_FANOUT);
-        let mut weights = Vec::new();
+        let mut prefix = Vec::new();
         for t in chunk.word_tokens(wi) {
             let d = chunk.token_doc[t] as usize;
             let (cols, vals) = state.theta.row(d);
+            let s = p1_prefix(cols, vals, &pstar, &mut prefix);
             let mut rng =
                 Xoshiro256::from_seed_stream(stream_seed, cfg.chunk_token_offset + t as u64);
-            let (topic, _, _, _) = draw_token(
-                cols,
-                vals,
-                &pstar,
-                &block_tree,
-                alpha,
-                &mut rng,
-                P1Engine::Tree(&mut p1_tree),
-                &mut weights,
-            );
-            out[t] = topic;
+            let drawn = draw_token(s, cols, &block_tree, alpha, &mut rng, |x| {
+                p1_tree.rebuild_from_prefix(&prefix);
+                p1_tree.sample_scaled(x)
+            });
+            out[t] = drawn.topic;
         }
     }
     out
@@ -747,6 +727,136 @@ mod tests {
                     z, expected,
                     "draw={draw} changed assignments (shared={use_shared}, l1={use_l1})"
                 );
+            }
+        }
+    }
+
+    /// A hand-built corpus whose words repeat inside documents, so each
+    /// word's document-ordered token list is a sequence of long
+    /// same-(word, document) runs. Run lengths are not multiples of 32, so
+    /// runs straddle warp-sampler boundaries, and the longest documents'
+    /// θ support at K = 1024 overflows the on-chip `p1` scratch (auto mode
+    /// then mixes tree and butterfly blocks).
+    fn run_setup(k: usize, alpha_scale: f64) -> (SortedChunk, ChunkState, PhiModel) {
+        let mut vocab = culda_corpus::Vocab::new();
+        for w in ["run", "tail", "filler"] {
+            vocab.intern(w);
+        }
+        let docs = [37usize, 5, 70, 1, 45, 13, 99, 2]
+            .iter()
+            .enumerate()
+            .map(|(d, &run)| {
+                let mut words = vec![0u32; run];
+                words.extend(std::iter::repeat_n(1, d % 3 + 1));
+                words.extend(std::iter::repeat_n(2, 20 + 23 * d));
+                culda_corpus::Document::new(words)
+            })
+            .collect();
+        let corpus = culda_corpus::Corpus::new(docs, vocab);
+        let chunks = partition_by_tokens(&corpus, 1);
+        let chunk = SortedChunk::build(&corpus, &chunks[0]);
+        let state = ChunkState::init_random(&chunk, k, 19);
+        let paper = Priors::paper(k);
+        let priors = Priors::new(paper.alpha * alpha_scale, paper.beta);
+        let phi = PhiModel::zeros(k, corpus.vocab_size(), priors);
+        accumulate_phi_host(&chunk, &state.z, &phi);
+        (chunk, state, phi)
+    }
+
+    /// Runs (per warp-sampler, as the kernel walks them) whose first draw
+    /// takes `p2` and a later draw takes `p1` — the case where a lazily
+    /// filled engine must still be filled.
+    fn p2_first_runs_with_a_p1_draw(
+        chunk: &SortedChunk,
+        state: &ChunkState,
+        phi: &PhiModel,
+        map: &[BlockWork],
+        cfg: &SampleConfig,
+    ) -> usize {
+        let inv = phi.inv_denominators();
+        let alpha = phi.priors.alpha as f32;
+        let mut pstar = vec![0.0f32; phi.num_topics];
+        let mut prefix = Vec::new();
+        let mut count = 0;
+        for work in map {
+            let word = chunk.word_ids[work.word_idx] as usize;
+            phi.phi
+                .fill_smoothed(word, phi.priors.beta as f32, &inv, &mut pstar);
+            let block_tree = IndexTree::build(&pstar, DEFAULT_FANOUT);
+            for s in 0..SAMPLERS_PER_BLOCK {
+                // (document, first draw took p1, a later draw took p1)
+                let mut run: Option<(u32, bool, bool)> = None;
+                for t in work.sampler_tokens(s) {
+                    let d = chunk.token_doc[t];
+                    let (cols, vals) = state.theta.row(d as usize);
+                    let s_mass = p1_prefix(cols, vals, &pstar, &mut prefix);
+                    let mut rng = Xoshiro256::from_seed_stream(
+                        cfg.stream_seed(),
+                        cfg.chunk_token_offset + t as u64,
+                    );
+                    let p1 = draw_token(s_mass, cols, &block_tree, alpha, &mut rng, |_| (0, 0, 0))
+                        .took_p1;
+                    run = match run {
+                        Some((rd, first, later)) if rd == d => Some((rd, first, later || p1)),
+                        prev => {
+                            count += usize::from(prev.is_some_and(|(_, f, l)| !f && l));
+                            Some((d, p1, false))
+                        }
+                    };
+                }
+                count += usize::from(run.is_some_and(|(_, f, l)| !f && l));
+            }
+        }
+        count
+    }
+
+    #[test]
+    fn run_reuse_matches_the_per_token_oracle() {
+        // The kernel builds each p1 prefix once per same-(word, document)
+        // run and fills its engine lazily; the oracle recomputes both per
+        // token. Every draw engine, memory configuration, K and block size
+        // must agree bit for bit, including runs that cross sampler
+        // boundaries and runs whose first draw takes p2 (large α).
+        for k in [16usize, 1024] {
+            for alpha_scale in [1.0, 8.0] {
+                let (chunk, state, phi) = run_setup(k, alpha_scale);
+                let inv = phi.inv_denominators();
+                let cfg0 = SampleConfig::new(41);
+                let expected = sample_chunk_reference(&chunk, &state, &phi, &inv, &cfg0);
+                for tpb in [45usize, 4096] {
+                    let map = build_block_map(&chunk, tpb);
+                    if alpha_scale > 1.0 {
+                        assert!(
+                            p2_first_runs_with_a_p1_draw(&chunk, &state, &phi, &map, &cfg0) > 0,
+                            "K = {k}, tpb = {tpb}: no p2-first run draws p1 later"
+                        );
+                    }
+                    for draw in [DrawMode::Tree, DrawMode::Butterfly, DrawMode::Auto] {
+                        for use_shared in [true, false] {
+                            for use_l1 in [true, false] {
+                                let mut cfg = cfg0;
+                                cfg.draw = draw;
+                                cfg.use_shared_memory = use_shared;
+                                cfg.use_l1_for_indices = use_l1;
+                                let fresh = ChunkState {
+                                    z: culda_gpusim::memory::AtomicU16Buf::from_vec(
+                                        state.z.snapshot(),
+                                    ),
+                                    theta: state.theta.clone(),
+                                };
+                                let dev =
+                                    Device::new(0, GpuSpec::titan_xp_pascal()).with_workers(2);
+                                run_sampling_kernel(&dev, &chunk, &fresh, &phi, &inv, &map, &cfg);
+                                assert_eq!(
+                                    fresh.z.snapshot(),
+                                    expected,
+                                    "K = {k}, α×{alpha_scale}, tpb = {tpb}, draw = {draw}, \
+                                     shared = {use_shared}, l1 = {use_l1}"
+                                );
+                            }
+                        }
+                    }
+                }
             }
         }
     }

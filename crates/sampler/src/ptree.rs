@@ -58,44 +58,21 @@ impl IndexTree {
     /// produce prefix sums with warp scans anyway).
     pub fn from_prefix(prefix: Vec<f32>, fanout: usize) -> Self {
         assert!(fanout >= 2, "fanout must be at least 2");
-        assert!(!prefix.is_empty(), "empty prefix array");
-        let total = *prefix.last().unwrap();
-        assert!(
-            total > 0.0 && total.is_finite(),
-            "distribution must have positive finite mass, got {total}"
-        );
-        debug_assert!(
-            prefix.windows(2).all(|w| w[0] <= w[1]),
-            "prefix sums must be non-decreasing"
-        );
-        // Build upper levels bottom-up: each level keeps every group's last
-        // prefix value, until a level fits in one node.
-        let mut upper: Vec<Vec<f32>> = Vec::new();
-        if prefix.len() > fanout {
-            let mut cur: Vec<f32> = prefix.chunks(fanout).map(|g| *g.last().unwrap()).collect();
-            while cur.len() > fanout {
-                let next: Vec<f32> = cur.chunks(fanout).map(|g| *g.last().unwrap()).collect();
-                upper.push(std::mem::take(&mut cur));
-                cur = next;
-            }
-            upper.push(cur);
-        }
-        upper.reverse(); // coarsest first
-        Self {
+        let mut tree = Self {
             fanout,
-            upper,
+            upper: Vec::new(),
             prefix,
-        }
+        };
+        tree.rebuild_upper();
+        tree
     }
 
     /// Rebuilds this tree in place from new weights, reusing all existing
-    /// allocations — the per-token `p1` tree in the sampling kernel's hot
-    /// loop must not allocate.
+    /// allocations.
     ///
     /// # Panics
     /// Same contract as [`IndexTree::build`].
     pub fn rebuild(&mut self, weights: &[f32]) {
-        assert!(!weights.is_empty(), "cannot build a tree over no weights");
         self.prefix.clear();
         let mut acc = 0.0f32;
         for &w in weights {
@@ -103,42 +80,50 @@ impl IndexTree {
             acc += w;
             self.prefix.push(acc);
         }
+        self.rebuild_upper();
+    }
+
+    /// Rebuilds this tree in place over already-computed inclusive prefix
+    /// sums, reusing all existing allocations — the sampling kernel's `p1`
+    /// path writes the prefix in one serial pass and hands it over here,
+    /// so no second accumulation runs.
+    ///
+    /// # Panics
+    /// Same contract as [`IndexTree::from_prefix`].
+    pub fn rebuild_from_prefix(&mut self, prefix: &[f32]) {
+        self.prefix.clear();
+        self.prefix.extend_from_slice(prefix);
+        self.rebuild_upper();
+    }
+
+    /// Validates the leaf prefix and rebuilds the upper levels bottom-up
+    /// into the existing level buffers: each level keeps every group's
+    /// last prefix value, until a level fits in one node.
+    fn rebuild_upper(&mut self) {
         assert!(
-            acc > 0.0 && acc.is_finite(),
-            "distribution must have positive finite mass, got {acc}"
+            !self.prefix.is_empty(),
+            "cannot build a tree over no weights"
         );
-        // Rebuild upper levels bottom-up into a reused scratch stack.
+        let total = self.total();
+        assert!(
+            total > 0.0 && total.is_finite(),
+            "distribution must have positive finite mass, got {total}"
+        );
+        debug_assert!(
+            self.prefix.windows(2).all(|w| w[0] <= w[1]),
+            "prefix sums must be non-decreasing"
+        );
         let fanout = self.fanout;
-        let mut spare: Vec<Vec<f32>> = std::mem::take(&mut self.upper);
-        for l in &mut spare {
-            l.clear();
+        let levels = depth_for(self.prefix.len(), fanout) - 1;
+        self.upper.resize_with(levels, Vec::new);
+        // Finest level first (built from the leaves), coarsest last.
+        for d in (0..levels).rev() {
+            let (coarser, finer) = self.upper.split_at_mut(d + 1);
+            let src: &[f32] = finer.first().unwrap_or(&self.prefix);
+            let dst = &mut coarser[d];
+            dst.clear();
+            dst.extend(src.chunks(fanout).map(|g| *g.last().unwrap()));
         }
-        let mut rebuilt: Vec<Vec<f32>> = Vec::with_capacity(spare.len());
-        let mut cur_is_prefix = true;
-        loop {
-            let src_len = if cur_is_prefix {
-                self.prefix.len()
-            } else {
-                rebuilt.last().unwrap().len()
-            };
-            if src_len <= fanout {
-                break;
-            }
-            let mut next = spare.pop().unwrap_or_default();
-            next.clear();
-            {
-                let src: &[f32] = if cur_is_prefix {
-                    &self.prefix
-                } else {
-                    rebuilt.last().unwrap()
-                };
-                next.extend(src.chunks(fanout).map(|g| *g.last().unwrap()));
-            }
-            rebuilt.push(next);
-            cur_is_prefix = false;
-        }
-        rebuilt.reverse();
-        self.upper = rebuilt;
     }
 
     /// Number of leaves (outcomes).

@@ -16,8 +16,10 @@
 //! index tree over `p*` serves both `Q` and the `p2` draw — the
 //! "sub-expression reuse" of Section 6.1.3 in its strongest form.
 
+use crate::butterfly::ButterflyBatch;
 use crate::model::PhiModel;
 use crate::ptree::{IndexTree, DEFAULT_FANOUT};
+use culda_corpus::Xoshiro256;
 
 /// Fills `out[k] = (ϕ_{k,v} + β) · inv_denom[k]` for word `v`.
 /// `inv_denom[k] = 1/(n_k + βV)` is precomputed once per iteration.
@@ -59,6 +61,149 @@ pub fn p1_weights(
         s += w;
     }
     s
+}
+
+/// Writes the inclusive `p1` prefix of one token's document into
+/// `prefix`: `prefix[i] = Σ_{j ≤ i} θ_vals[j] · p*(θ_cols[j])`, accumulated
+/// serially in f32 — the exact leaves [`IndexTree::rebuild`] would store
+/// over [`p1_weights`]' output, in one pass instead of two. Returns `S`,
+/// the last entry (0 for an empty row).
+pub fn p1_prefix(
+    theta_cols: &[u16],
+    theta_vals: &[u32],
+    pstar: &[f32],
+    prefix: &mut Vec<f32>,
+) -> f32 {
+    debug_assert_eq!(theta_cols.len(), theta_vals.len());
+    prefix.clear();
+    let mut s = 0.0f32;
+    for (&c, &n) in theta_cols.iter().zip(theta_vals) {
+        s += n as f32 * pstar[c as usize];
+        prefix.push(s);
+    }
+    s
+}
+
+/// One warp-sampler's `p1` distribution across a *run*: consecutive
+/// tokens of the block's word that share a document see the same θ row
+/// and the same block-shared `p*`, so their prefix, `S` and draw-engine
+/// contents are identical — only their RNG streams differ (Section 6.1.3's
+/// sub-expression reuse, one level down from "same word" to "same (word,
+/// document)"). The prefix is built once per run, and the engine is
+/// filled at most once, at the run's first `p1` draw: a run whose draws
+/// all take `p2` never fills it, and a run whose first draw takes `p2`
+/// still fills it before its first `p1` draw.
+#[derive(Debug, Default)]
+pub struct P1Run {
+    doc: Option<usize>,
+    s: f32,
+    prefix: Vec<f32>,
+    engine_filled: bool,
+}
+
+impl P1Run {
+    /// A run cache holding no document.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Forgets the cached run: the next [`enter`](Self::enter) rebuilds.
+    /// Called when a new warp-sampler starts, whose engine slot holds
+    /// another sampler's distribution.
+    pub fn reset(&mut self) {
+        self.doc = None;
+    }
+
+    /// Enters the token's document and returns its `S`. The prefix is
+    /// rebuilt only when `doc` differs from the previous token's.
+    pub fn enter(
+        &mut self,
+        doc: usize,
+        theta_cols: &[u16],
+        theta_vals: &[u32],
+        pstar: &[f32],
+    ) -> f32 {
+        if self.doc != Some(doc) {
+            self.s = p1_prefix(theta_cols, theta_vals, pstar, &mut self.prefix);
+            self.doc = Some(doc);
+            self.engine_filled = false;
+        }
+        self.s
+    }
+
+    /// A `p1` draw at `x ∈ [0, S)` through a private index tree, filling
+    /// the tree from the run's prefix on the run's first `p1` draw.
+    /// Returns the θ-row index and the walk's (shared, leaf) touches.
+    pub fn sample_tree(&mut self, tree: &mut IndexTree, x: f32) -> (usize, usize, usize) {
+        if !self.engine_filled {
+            tree.rebuild_from_prefix(&self.prefix);
+            self.engine_filled = true;
+        }
+        tree.sample_scaled(x)
+    }
+
+    /// A `p1` draw at `x ∈ [0, S)` through lane `lane` of a butterfly
+    /// batch, filling the lane on the run's first `p1` draw. Returns the
+    /// θ-row index.
+    pub fn sample_butterfly(&mut self, batch: &mut ButterflyBatch, lane: usize, x: f32) -> usize {
+        if !self.engine_filled {
+            batch.set_lane_prefix(lane, &self.prefix);
+            self.engine_filled = true;
+        }
+        batch.select(lane, x)
+    }
+}
+
+/// One token's draw: its topic, the walk's (shared, leaf) touch counts for
+/// traffic accounting, and whether the sparse `p1` branch was taken (the
+/// warp-divergent decision).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct TokenDraw {
+    /// Sampled topic.
+    pub topic: u16,
+    /// Upper-level tree nodes the walk scanned.
+    pub sh_touch: usize,
+    /// Leaf entries the walk scanned.
+    pub leaf_touch: usize,
+    /// Whether the sparse `p1` component was drawn from.
+    pub took_p1: bool,
+}
+
+/// The S/Q branch and draw rule of Algorithm 2 — one function shared by
+/// the sampling kernel, its host oracle and the partition-by-word trainer.
+/// Takes the token's two uniforms from `rng`. With probability `S/(S+Q)`,
+/// `Q = α·Σp*`, it calls `p1` with a position in `[0, S)`; `p1` returns
+/// a θ-row index plus its walk's touches, mapped here to a topic.
+/// Otherwise it walks the block-shared `p*` tree.
+#[inline]
+pub fn draw_token(
+    s: f32,
+    theta_cols: &[u16],
+    pstar_tree: &IndexTree,
+    alpha: f32,
+    rng: &mut Xoshiro256,
+    p1: impl FnOnce(f32) -> (usize, usize, usize),
+) -> TokenDraw {
+    let q = q_mass(alpha, pstar_tree.total());
+    let u_branch = rng.next_f32();
+    let u_inner = rng.next_f32();
+    if s > 0.0 && u_branch < s / (s + q) {
+        let (idx, sh_touch, leaf_touch) = p1(u_inner * s);
+        TokenDraw {
+            topic: theta_cols[idx],
+            sh_touch,
+            leaf_touch,
+            took_p1: true,
+        }
+    } else {
+        let (k, sh_touch, leaf_touch) = pstar_tree.sample_scaled(u_inner * pstar_tree.total());
+        TokenDraw {
+            topic: k as u16,
+            sh_touch,
+            leaf_touch,
+            took_p1: false,
+        }
+    }
 }
 
 /// One full token draw, given two uniforms — the scalar reference for the

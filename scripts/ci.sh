@@ -25,6 +25,18 @@ cargo test -q --test inference fold_in_golden
 cargo test -q --test inference fold_in_matches_dense_perplexity
 cargo test -q -p culda-sampler --lib three_bucket_draw_matches_exact_conditional
 
+echo "==> sampling golden and run-reuse oracle"
+# The K = 1024 auto-mode run's z fingerprint, per-iteration modelled
+# seconds and lda_sample DRAM bytes are pinned; the host's per-(word,
+# document) p1 prefix reuse must reproduce the per-token oracle in every
+# draw mode and memory configuration.
+cargo test -q --test golden k1024_auto_modes_run_is_pinned
+cargo test -q -p culda-sampler --lib run_reuse_matches_the_per_token_oracle
+
+echo "==> perfbench self-tests"
+# The benchmark's own tests, including the bit-for-bit repeat of a seed.
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
+
 echo "==> inference smoke test"
 smoke="$(mktemp -d)"
 trap 'rm -rf "$smoke"' EXIT

@@ -97,35 +97,40 @@ fn theta_rows_are_normalized_probability_vectors() {
     }
 }
 
+/// Burn-in lowers held-out perplexity — checked as a statistic over serve
+/// seeds, not sweep by sweep at one seed: the running-average curve of a
+/// single chain can tick up between adjacent sweeps by chance, so a
+/// pairwise check pins one lucky seed rather than the property.
 #[test]
 fn held_out_perplexity_is_nonincreasing_across_burnin() {
     let (_, held) = trained();
-    let out = engine(
-        ServeConfig::builder(33)
-            .burnin(6)
-            .samples(2)
-            .build()
-            .unwrap(),
-    )
-    .infer_corpus(held)
-    .unwrap();
-    let curve = &out.perplexity_by_sweep;
-    assert_eq!(curve.len(), 8);
-    for (s, pair) in curve.windows(2).enumerate() {
+    let seeds = 30..38u64;
+    let mut ratios = Vec::new();
+    for seed in seeds.clone() {
+        let out = engine(
+            ServeConfig::builder(seed)
+                .burnin(6)
+                .samples(2)
+                .build()
+                .unwrap(),
+        )
+        .infer_corpus(held)
+        .unwrap();
+        let curve = &out.perplexity_by_sweep;
+        assert_eq!(curve.len(), 8);
+        let (first, last) = (curve[0], curve[curve.len() - 1]);
         assert!(
-            pair[1] <= pair[0],
-            "perplexity rose from {} to {} at sweep {s}",
-            pair[0],
-            pair[1]
+            last < first,
+            "seed {seed}: burn-in did not lower perplexity ({first} -> {last})"
         );
+        assert!(out.perplexity.is_finite() && out.perplexity > 1.0);
+        ratios.push(last / first);
     }
+    let mean = ratios.iter().sum::<f64>() / ratios.len() as f64;
     assert!(
-        curve[curve.len() - 1] < 0.995 * curve[0],
-        "burn-in barely moved: {} -> {}",
-        curve[0],
-        curve[curve.len() - 1]
+        mean < 0.995,
+        "burn-in barely moved: mean last/first ratio {mean:.4} over seeds {seeds:?}"
     );
-    assert!(out.perplexity.is_finite() && out.perplexity > 1.0);
 }
 
 #[test]
