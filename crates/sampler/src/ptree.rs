@@ -72,6 +72,9 @@ impl IndexTree {
     ///
     /// # Panics
     /// Same contract as [`IndexTree::build`].
+    // Kept out of line: inlined into the serving fold-in's per-token draw
+    // it made that loop about 15% slower in host CPU time.
+    #[inline(never)]
     pub fn rebuild(&mut self, weights: &[f32]) {
         self.prefix.clear();
         let mut acc = 0.0f32;

@@ -66,8 +66,8 @@ pub fn p1_weights(
 /// Writes the inclusive `p1` prefix of one token's document into
 /// `prefix`: `prefix[i] = Σ_{j ≤ i} θ_vals[j] · p*(θ_cols[j])`, accumulated
 /// serially in f32 — the exact leaves [`IndexTree::rebuild`] would store
-/// over [`p1_weights`]' output, in one pass instead of two. Returns `S`,
-/// the last entry (0 for an empty row).
+/// over [`p1_weights`]' output. Returns `S`, the last entry (0 for an
+/// empty row).
 pub fn p1_prefix(
     theta_cols: &[u16],
     theta_vals: &[u32],
