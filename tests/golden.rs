@@ -7,9 +7,12 @@
 
 use culda::corpus::SynthSpec;
 use culda::gpusim::Platform;
+use culda::metrics::MetricsRegistry;
 use culda::multigpu::{
-    CuldaTrainer, DrawMode, SamplingMode, SyncMode, TrainerConfig, WordPartitionedTrainer,
+    build_trainer, CuldaTrainer, DrawMode, PartitionPolicy, SamplingMode, SyncMode, TrainerConfig,
+    WordPartitionedTrainer,
 };
+use std::sync::Arc;
 
 /// FNV-1a over the concatenated assignment vectors.
 fn fingerprint<'a>(zs: impl IntoIterator<Item = &'a [u16]>) -> u64 {
@@ -159,6 +162,62 @@ fn word_partitioned_run_is_pinned() {
     );
 }
 
+/// A PubMed-like corpus on 2 nodes × 2 Pascal GPUs, out-of-core (M = 2)
+/// with prefetch and every mode on auto: the multi-node path end to end.
+/// Pins the assignment chain, the per-iteration modelled seconds, the
+/// node-level Δϕ traffic counters and the staging overlap gauge.
+fn run_cluster() -> (u64, Vec<u64>, u64, u64, u64) {
+    let mut spec = SynthSpec::pubmed_like(0.00005);
+    spec.seed = 0xC1_0573;
+    let corpus = spec.generate();
+    let cfg = TrainerConfig::builder(64, Platform::pascal().with_gpus(2))
+        .iterations(3)
+        .score_every(0)
+        .seed(0x601DE7)
+        .nodes(2)
+        .chunks_per_gpu(Some(2))
+        .prefetch(true)
+        .sync_mode(SyncMode::Auto)
+        .sampling_mode(SamplingMode::Auto)
+        .draw_mode(DrawMode::Auto)
+        .build()
+        .unwrap();
+    let mut t = build_trainer(PartitionPolicy::Document, &corpus, cfg).unwrap();
+    let reg = Arc::new(MetricsRegistry::new());
+    t.attach_observability(None, Some(reg.clone()));
+    let sim_bits: Vec<u64> = (0..3).map(|_| t.step().sim_seconds.to_bits()).collect();
+    let zs = t.assignments();
+    (
+        fingerprint(zs.iter().map(Vec::as_slice)),
+        sim_bits,
+        reg.counter("cluster.sync.bytes").value(),
+        reg.counter("cluster.sync.nnz").value(),
+        reg.gauge("oocore.overlap_fraction").value().to_bits(),
+    )
+}
+
+#[test]
+fn cluster_run_is_pinned() {
+    let (fp, sim_bits, bytes, nnz, overlap) = run_cluster();
+    print_golden(|| {
+        format!(
+            "cluster fingerprint = {fp:#018x}, sim = {sim_bits:x?}, bytes = {bytes}, \
+             nnz = {nnz}, overlap = {overlap:#018x}"
+        )
+    });
+    assert_eq!(fp, CLUSTER_FINGERPRINT, "cluster assignment chain changed");
+    assert_eq!(
+        sim_bits, CLUSTER_SIM_SECONDS_BITS,
+        "modelled seconds changed"
+    );
+    assert_eq!(bytes, CLUSTER_SYNC_BYTES, "cluster.sync.bytes changed");
+    assert_eq!(nnz, CLUSTER_SYNC_NNZ, "cluster.sync.nnz changed");
+    assert_eq!(
+        overlap, CLUSTER_OVERLAP_BITS,
+        "oocore.overlap_fraction changed"
+    );
+}
+
 // Captured before the sampler's host execution reused p1 prefixes across
 // consecutive tokens of one (word, document) run; that change must keep
 // all three pins.
@@ -167,3 +226,11 @@ const K1024_SIM_SECONDS_BITS: [u64; 3] =
     [0x3f2061261b58a1f3, 0x3f1bc11c0d1230ee, 0x3f17eceec0eeee00];
 const K1024_SAMPLE_DRAM_BYTES: u64 = 103_219_918;
 const WORD_POLICY_FINGERPRINT: u64 = 0x2d0e2a17d356406a;
+// Captured on the two-trainer layout (a separate cluster trainer beside
+// the single-node one); the single superstep engine must keep all five.
+const CLUSTER_FINGERPRINT: u64 = 0xa943d24b602bfeb4;
+const CLUSTER_SIM_SECONDS_BITS: [u64; 3] =
+    [0x3f23cb05b586189e, 0x3f23ae9dcb5e578a, 0x3f23aab51fb2c064];
+const CLUSTER_SYNC_BYTES: u64 = 146_072;
+const CLUSTER_SYNC_NNZ: u64 = 19_598;
+const CLUSTER_OVERLAP_BITS: u64 = 0x3fcd29dc33fc5767;
