@@ -133,11 +133,11 @@ and only the modelled memory traffic changes.
 
 `--nodes N` trains across N simulated nodes (doc policy only), each a
 full `--gpus G` box: documents shard over nodes, each node syncs its ϕ
-replicas locally, then ships a sparse Δϕ payload (the same COO/CSR/dense
-wire format as `--sync-mode delta`) to a parameter server over a modelled
-100 Gb/s inter-node link. The checkpoint is bit-identical to `--nodes 1`;
-only the modelled time and traffic change. `--resume` is not yet wired
-for multi-node runs. When the corpus exceeds device memory, chunk staging
+replicas locally, then the nodes merge their sums as sparse Δϕ payloads
+(the same COO/CSR/dense wire format as `--sync-mode delta`) up a reduce
+tree over a modelled 100 Gb/s inter-node link. The checkpoint is
+bit-identical to `--nodes 1`; only the modelled time and traffic change,
+and `--resume` and `--fault-plan` work at any node count. When the corpus exceeds device memory, chunk staging
 is double-buffered so the H2D upload of chunk i+1 overlaps sampling of
 chunk i (visible as `gpu*-h2d`/`gpu*-stage` tracks in `--trace-out` and
 the `oocore.overlap_fraction` gauge); `--no-prefetch` falls back to
@@ -348,16 +348,13 @@ pub fn train(args: &Args) -> CmdResult {
     if cfg.nodes > 1 {
         let link = cfg.effective_node_link();
         println!(
-            "cluster: {} node(s) × {} GPU(s), Δϕ parameter server over a \
+            "cluster: {} node(s) × {} GPU(s), Δϕ node reduce over a \
              {} GB/s / {} µs node link",
             cfg.nodes, cfg.platform.num_gpus, link.bandwidth_gbps, link.latency_us
         );
     }
     let mut trainer: Box<dyn LdaTrainer> = match args.require("resume") {
         Ok(state_path) => {
-            if cfg.nodes > 1 {
-                return Err(err("--resume is not supported with --nodes > 1"));
-            }
             // The checkpoint's policy tag decides which trainer comes back.
             let t = resume_any(&corpus, cfg, BufReader::new(File::open(state_path)?))?;
             println!(
@@ -411,7 +408,7 @@ pub fn train(args: &Args) -> CmdResult {
     let mut monitor = HealthMonitor::new(HealthConfig::default());
     let mut cumulative_sim = 0.0;
     let multi_gpu = trainer.num_gpus() > 1;
-    let sync_label = trainer.config().effective_sync_mode().to_string();
+    let sync_label = trainer.config().sync_mode.to_string();
 
     for i in 0..iters {
         let stat = trainer.try_step()?;
@@ -1559,7 +1556,7 @@ mod tests {
             std::fs::read(&cluster).unwrap(),
             "multi-node checkpoint diverged from single-node"
         );
-        // Guard rails: zero nodes, word policy, and resume are rejected.
+        // Guard rails: zero nodes and the word policy are rejected.
         let e = train(&args(&format!(
             "{base} --model {} --nodes 0",
             cluster.display()
@@ -1572,12 +1569,34 @@ mod tests {
         )))
         .unwrap_err();
         assert_eq!(exit_code(e.as_ref()), 2);
-        let e = train(&args(&format!(
-            "{base} --model {} --nodes 2 --resume /nonexistent.state",
-            cluster.display()
+        // A 1-node checkpoint resumes on 2 nodes and finishes the same
+        // model as 6 straight 1-node iterations.
+        let state = tmp("n.state");
+        let resumed = tmp("n.resumed.phi");
+        train(&args(&format!(
+            "{base} --model {} --save-state {}",
+            resumed.display(),
+            state.display()
         )))
-        .unwrap_err();
-        assert_eq!(exit_code(e.as_ref()), 2);
+        .unwrap();
+        train(&args(&format!(
+            "{base} --model {} --nodes 2 --resume {}",
+            resumed.display(),
+            state.display()
+        )))
+        .unwrap();
+        let straight = tmp("n.straight.phi");
+        train(&args(&format!(
+            "{} --model {}",
+            base.replace("--iters 3", "--iters 6"),
+            straight.display()
+        )))
+        .unwrap();
+        assert_eq!(
+            std::fs::read(&straight).unwrap(),
+            std::fs::read(&resumed).unwrap(),
+            "2-node resume diverged from straight 1-node training"
+        );
     }
 
     #[test]

@@ -325,17 +325,15 @@ pub fn build_trainer(
     corpus: &culda_corpus::Corpus,
     cfg: TrainerConfig,
 ) -> Result<Box<dyn LdaTrainer>, CuldaError> {
-    Ok(match (policy, cfg.nodes) {
-        (PartitionPolicy::Document, n) if n > 1 => {
-            Box::new(crate::cluster::ClusterTrainer::try_new(corpus, cfg)?)
-        }
-        (PartitionPolicy::Word, n) if n > 1 => {
+    Ok(match policy {
+        PartitionPolicy::Document => Box::new(CuldaTrainer::try_new(corpus, cfg)?),
+        PartitionPolicy::Word if cfg.nodes > 1 => {
             return Err(CuldaError::Invalid(format!(
-                "multi-node training requires --policy doc (got {n} nodes with --policy word)"
+                "multi-node training requires --policy doc (got {} nodes with --policy word)",
+                cfg.nodes
             )));
         }
-        (PartitionPolicy::Document, _) => Box::new(CuldaTrainer::try_new(corpus, cfg)?),
-        (PartitionPolicy::Word, _) => Box::new(WordPartitionedTrainer::try_new(corpus, cfg)?),
+        PartitionPolicy::Word => Box::new(WordPartitionedTrainer::try_new(corpus, cfg)?),
     })
 }
 
@@ -441,5 +439,16 @@ mod tests {
         let mut snap2 = t2.assignments();
         snap2[0].pop();
         assert!(t2.restore_assignments(1, &snap2).is_err());
+    }
+
+    #[test]
+    fn word_policy_refuses_multiple_nodes() {
+        let mut two_nodes = cfg();
+        two_nodes.nodes = 2;
+        let err = match build_trainer(PartitionPolicy::Word, &corpus(), two_nodes) {
+            Err(e) => e,
+            Ok(_) => panic!("word policy with 2 nodes must be rejected"),
+        };
+        assert!(matches!(err, CuldaError::Invalid(_)), "{err}");
     }
 }

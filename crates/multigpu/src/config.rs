@@ -245,11 +245,6 @@ pub struct TrainerConfig {
     /// Override for the device↔device link (e.g. [`Link::nvlink`] for the
     /// interconnect ablation); `None` = the platform's PCIe.
     pub peer_link: Option<Link>,
-    /// Use the ring all-reduce for the ϕ sync instead of the paper's
-    /// Figure 4 tree (extension; same result, different critical path).
-    /// Kept for back-compatibility; subsumed by [`Self::sync_mode`] — see
-    /// [`Self::effective_sync_mode`].
-    pub ring_sync: bool,
     /// Replica combination strategy (see [`SyncMode`]). The default,
     /// [`SyncMode::DenseTree`], reproduces the paper's timing exactly.
     pub sync_mode: SyncMode,
@@ -271,14 +266,14 @@ pub struct TrainerConfig {
     pub prefetch: bool,
     /// Number of cluster nodes, each running `platform` as its own
     /// multi-GPU box (the `--nodes` knob). `1` = the paper's single-node
-    /// machine; `> 1` engages the AD-LDA cluster layer: per-node document
-    /// shards, per-superstep Δϕ synchronization over [`Self::node_link`].
+    /// machine; `> 1` adds the AD-LDA node level to every superstep: each
+    /// node's summed ϕ travels as one Δϕ payload over [`Self::node_link`].
     /// Training is bit-identical for any node count because the chunk
     /// layout is planned once from `platform` and the sampler RNG streams
     /// are keyed by global token index.
     pub nodes: usize,
-    /// Override for the inter-node link the cluster layer's Δϕ supersteps
-    /// ride on; `None` = [`Link::node_100gbit`]. Only consulted when
+    /// Override for the inter-node link the node-level Δϕ sync rides on;
+    /// `None` = [`Link::node_100gbit`]. Only consulted when
     /// [`Self::nodes`] `> 1`.
     pub node_link: Option<Link>,
     /// Host threads each simulated device uses to execute its thread
@@ -334,17 +329,6 @@ impl TrainerConfig {
         self.node_link.unwrap_or_else(Link::node_100gbit)
     }
 
-    /// The sync strategy after folding in the legacy `ring_sync` flag:
-    /// `ring_sync = true` with the default mode still means the ring, so
-    /// pre-existing configs keep their behaviour.
-    pub fn effective_sync_mode(&self) -> SyncMode {
-        if self.ring_sync && self.sync_mode == SyncMode::DenseTree {
-            SyncMode::DenseRing
-        } else {
-            self.sync_mode
-        }
-    }
-
     /// Bytes of one ϕ element under the current compression setting.
     pub fn phi_elem_bytes(&self) -> u64 {
         if self.compressed {
@@ -387,7 +371,6 @@ impl TrainerConfigBuilder {
                 use_l1_for_indices: true,
                 tokens_per_block: None,
                 peer_link: None,
-                ring_sync: false,
                 sync_mode: SyncMode::DenseTree,
                 sampling_mode: SamplingMode::Dense,
                 draw_mode: DrawMode::Tree,
@@ -451,12 +434,6 @@ impl TrainerConfigBuilder {
     /// Override the device↔device link.
     pub fn peer_link(mut self, link: Link) -> Self {
         self.cfg.peer_link = Some(link);
-        self
-    }
-
-    /// Use the ring all-reduce instead of the Figure 4 tree.
-    pub fn ring_sync(mut self, on: bool) -> Self {
-        self.cfg.ring_sync = on;
         self
     }
 
@@ -587,7 +564,7 @@ mod tests {
             .iterations(7)
             .seed(3)
             .score_every(2)
-            .ring_sync(true)
+            .sync_mode(SyncMode::DenseRing)
             .host_workers(2)
             .prefetch(false)
             .retry(RetryPolicy {
@@ -597,7 +574,7 @@ mod tests {
             .build()
             .unwrap();
         assert_eq!(cfg.iterations, 7);
-        assert!(cfg.ring_sync);
+        assert_eq!(cfg.sync_mode, SyncMode::DenseRing);
         assert!(!cfg.prefetch);
         assert_eq!(cfg.retry.max_attempts, 5);
         // Degenerate values survive until build(), then fail with the
@@ -713,27 +690,5 @@ mod tests {
         let e = "warp".parse::<DrawMode>().unwrap_err();
         assert_eq!(e.kind, "draw mode");
         assert_eq!(e.expected, DrawMode::NAMES);
-    }
-
-    #[test]
-    fn legacy_ring_flag_maps_onto_sync_mode() {
-        let cfg = TrainerConfig::builder(8, Platform::maxwell())
-            .build()
-            .unwrap();
-        assert_eq!(cfg.effective_sync_mode(), SyncMode::DenseTree);
-
-        let ring = TrainerConfig::builder(8, Platform::maxwell())
-            .ring_sync(true)
-            .build()
-            .unwrap();
-        assert_eq!(ring.effective_sync_mode(), SyncMode::DenseRing);
-
-        // An explicit mode wins over the legacy flag.
-        let explicit = TrainerConfig::builder(8, Platform::maxwell())
-            .ring_sync(true)
-            .sync_mode(SyncMode::Delta)
-            .build()
-            .unwrap();
-        assert_eq!(explicit.effective_sync_mode(), SyncMode::Delta);
     }
 }

@@ -33,7 +33,7 @@ pub enum CuldaError {
     /// Every worker was lost; no survivors to rebalance onto.
     AllWorkersLost,
     /// A worker's host thread panicked (a genuine bug, caught at the
-    /// fan-out boundary by [`run_workers_fallible`](crate::run_workers_fallible)).
+    /// trainer's fan-out boundary).
     WorkerPanicked {
         /// Device ordinal of the panicked worker.
         device: usize,

@@ -8,7 +8,11 @@
 //! owns a device plus its chunks and ϕ replicas and runs the iteration
 //! body on its own host thread ([`worker`]), and the end-to-end trainer
 //! with WorkSchedule1/WorkSchedule2 and sync/θ-update overlap
-//! ([`trainer`]).
+//! ([`trainer`]). The same trainer runs on any number of nodes
+//! (`TrainerConfig::nodes`): AD-LDA one level up, each node's summed ϕ
+//! merged over the inter-node link as one sparse Δϕ payload
+//! ([`sync::sync_phi_nodes`]), with per-worker retry, rebalance and node
+//! drain at every node count.
 
 //! ```
 //! use culda_corpus::SynthSpec;
@@ -29,7 +33,6 @@
 #![warn(missing_docs)]
 
 pub mod api;
-pub mod cluster;
 pub mod config;
 pub mod delta;
 pub mod error;
@@ -43,7 +46,6 @@ pub mod word_trainer;
 pub mod worker;
 
 pub use api::{build_trainer, LdaTrainer, PartitionPolicy};
-pub use cluster::{ClusterTrainer, NodeTrainer, ParameterServer};
 pub use config::{
     ConfigError, DrawMode, ModeParseError, RetryPolicy, SamplingMode, SyncMode, TrainerConfig,
     TrainerConfigBuilder,
@@ -55,8 +57,9 @@ pub use policy::{compare_policies, compare_policies_analytic, PolicyComparison};
 pub use resume::{resume_any, resume_training, resume_word_training, save_training};
 pub use schedule::{chunk_owner, plan_partition, MemoryPlan};
 pub use sync::{
-    sync_phi_auto, sync_phi_delta, sync_phi_replicas, sync_phi_ring, SyncReport, SyncTotals,
+    sync_phi, sync_phi_auto, sync_phi_delta, sync_phi_nodes, sync_phi_replicas, sync_phi_ring,
+    SyncReport, SyncTotals,
 };
 pub use trainer::{CuldaTrainer, TrainOutcome};
 pub use word_trainer::WordPartitionedTrainer;
-pub use worker::{run_workers, run_workers_fallible, run_workers_traced, GpuWorker};
+pub use worker::{run_workers, run_workers_traced, GpuWorker};

@@ -307,6 +307,38 @@ mod tests {
     }
 
     #[test]
+    fn a_single_node_checkpoint_resumes_bit_identically_on_two_nodes() {
+        let c = corpus();
+        let mut straight = CuldaTrainer::new(&c, multi_gpu_cfg());
+        for _ in 0..5 {
+            straight.step();
+        }
+        let mut first = CuldaTrainer::new(&c, multi_gpu_cfg());
+        first.step();
+        first.step();
+        let mut buf = Vec::new();
+        save_training(&first, &mut buf).unwrap();
+        let mut two_nodes = multi_gpu_cfg();
+        two_nodes.nodes = 2;
+        let mut resumed = resume_training(&c, two_nodes, buf.as_slice()).unwrap();
+        assert_eq!(resumed.num_gpus(), 4);
+        for _ in 0..3 {
+            resumed.step();
+        }
+        resumed.check_invariants();
+        assert_eq!(
+            LdaTrainer::assignments(&straight),
+            LdaTrainer::assignments(&resumed),
+            "2-node resume broke the chain"
+        );
+        assert_eq!(
+            straight.global_phi().phi.snapshot(),
+            resumed.global_phi().phi.snapshot()
+        );
+        assert!((straight.loglik_per_token() - resumed.loglik_per_token()).abs() < 1e-12);
+    }
+
+    #[test]
     fn word_trainer_resume_is_bit_identical_to_straight_training() {
         let c = corpus();
         let mut straight = WordPartitionedTrainer::new(&c, multi_gpu_cfg());

@@ -30,7 +30,12 @@
 //! executes the argmin, so its reported seconds equal the best fixed
 //! mode's by construction. All timing paths route through the same helper
 //! functions, making that equality exact (no floating-point drift between
-//! "predicted" and "executed" cost).
+//! "predicted" and "executed" cost). [`sync_phi`] dispatches on the
+//! configured mode.
+//!
+//! One level up, [`sync_phi_nodes`] runs the same payload tree over the
+//! nodes of a cluster: each node's summed replica travels as one Δϕ
+//! payload over the inter-node link.
 
 use crate::config::{SyncMode, TrainerConfig};
 use crate::delta::DeltaPayload;
@@ -123,9 +128,8 @@ impl SyncTotals {
     }
 }
 
-/// Simulated seconds of the element-wise ϕ-add kernel on one GPU. Shared
-/// with the cluster layer's inter-node payload merges.
-pub(crate) fn add_kernel_seconds(gpu: &GpuSpec, elements: u64, elem_bytes: u64) -> f64 {
+/// Simulated seconds of the element-wise ϕ-add kernel on one GPU.
+fn add_kernel_seconds(gpu: &GpuSpec, elements: u64, elem_bytes: u64) -> f64 {
     let cost = KernelCost {
         dram_read_bytes: 2 * elements * elem_bytes,
         dram_write_bytes: elements * elem_bytes,
@@ -142,8 +146,8 @@ fn replica_elements(r: &PhiModel) -> u64 {
 }
 
 /// Tree depth: reduce rounds (= broadcast rounds) for `g` participants
-/// (GPUs here; nodes in the cluster layer).
-pub(crate) fn tree_rounds(g: usize) -> u32 {
+/// (GPUs of a node, or nodes of a cluster).
+fn tree_rounds(g: usize) -> u32 {
     if g < 2 {
         0
     } else {
@@ -307,27 +311,38 @@ fn plan_phi_delta(
 ) -> DeltaPlan {
     assert!(!replicas.is_empty(), "no replicas to synchronize");
     assert_eq!(replicas.len(), deltas.len(), "replica/delta count mismatch");
-    let g = replicas.len();
-    let e = cfg.phi_elem_bytes();
-    let elements = replica_elements(replicas[0]);
-    let k = replicas[0].num_topics;
-    let dense_bytes = 2 * (g as u64).saturating_sub(1) * elements * e;
-
-    let mut payloads: Vec<Option<DeltaPayload>> = replicas
+    let mut payloads: Vec<DeltaPayload> = replicas
         .iter()
         .zip(deltas)
-        .map(|(r, d)| Some(DeltaPayload::from_replica(r, d)))
+        .map(|(r, d)| DeltaPayload::from_replica(r, d))
         .collect();
-
-    if g == 1 {
+    if payloads.len() == 1 {
         return DeltaPlan {
-            global: payloads[0].take().unwrap(),
+            global: payloads.pop().unwrap(),
             report: SyncReport {
                 mode: SyncMode::Delta,
                 ..SyncReport::default()
             },
         };
     }
+    reduce_payloads(payloads, replicas[0], gpu, link, cfg.phi_elem_bytes())
+}
+
+/// Merges `payloads` pairwise up the Figure 4 tree and prices the reduce
+/// and the broadcast of the merged payload at their encoded sizes.
+/// `shape` is any replica of the model (for `K` and the dense baseline).
+fn reduce_payloads(
+    payloads: Vec<DeltaPayload>,
+    shape: &PhiModel,
+    gpu: &GpuSpec,
+    link: &Link,
+    e: u64,
+) -> DeltaPlan {
+    let g = payloads.len();
+    assert!(g > 0, "no payloads to reduce");
+    let k = shape.num_topics;
+    let dense_bytes = 2 * (g as u64).saturating_sub(1) * replica_elements(shape) * e;
+    let mut payloads: Vec<Option<DeltaPayload>> = payloads.into_iter().map(Some).collect();
 
     // --- Reduce: the same pairwise tree, but over payloads --------------
     let mut reduce_seconds = 0.0;
@@ -434,6 +449,46 @@ pub fn sync_phi_auto(
     } else {
         sync_phi_replicas(replicas, gpu, link, cfg)
     }
+}
+
+/// Synchronizes the replicas in `cfg.sync_mode` — the one dispatch the
+/// trainer runs for every node. The Δϕ modes read each replica's own
+/// dirty-row bitmap.
+pub fn sync_phi(
+    replicas: &[&PhiModel],
+    gpu: &GpuSpec,
+    link: &Link,
+    cfg: &TrainerConfig,
+) -> SyncReport {
+    match cfg.sync_mode {
+        SyncMode::DenseTree => sync_phi_replicas(replicas, gpu, link, cfg),
+        SyncMode::DenseRing => sync_phi_ring(replicas, gpu, link, cfg),
+        mode @ (SyncMode::Delta | SyncMode::Auto) => {
+            let deltas: Vec<&PhiDelta> = replicas.iter().map(|r| r.phi.dirty()).collect();
+            if mode == SyncMode::Delta {
+                sync_phi_delta(replicas, &deltas, gpu, link, cfg)
+            } else {
+                sync_phi_auto(replicas, &deltas, gpu, link, cfg)
+            }
+        }
+    }
+}
+
+/// The node-level superstep sync: merges one Δϕ payload per node up the
+/// reduce tree over the inter-node `link` and broadcasts the merged
+/// global payload back. Returns that payload, for the caller to apply to
+/// every replica by store, and the timing/traffic report. `shape` is any
+/// replica of the model. With one payload nothing moves and the report
+/// is free.
+pub fn sync_phi_nodes(
+    payloads: Vec<DeltaPayload>,
+    shape: &PhiModel,
+    gpu: &GpuSpec,
+    link: &Link,
+    cfg: &TrainerConfig,
+) -> (DeltaPayload, SyncReport) {
+    let plan = reduce_payloads(payloads, shape, gpu, link, cfg.phi_elem_bytes());
+    (plan.global, plan.report)
 }
 
 #[cfg(test)]

@@ -1,4 +1,5 @@
-//! The end-to-end CuLDA_CGS trainer (Figure 3b + Algorithm 1).
+//! The end-to-end CuLDA_CGS trainer (Figure 3b + Algorithm 1), on one
+//! node or many.
 //!
 //! The trainer owns one [`GpuWorker`] per GPU; each worker owns its
 //! device, its chunks' assignment states and block maps, and its
@@ -26,26 +27,43 @@
 //! With `M > 1` (out-of-core), each GPU pipelines its `M` chunks through
 //! the H2D → compute → D2H engines (WorkSchedule2), and the iteration time
 //! is the pipeline makespan instead of the kernel sum.
+//!
+//! **Nodes.** `cfg.nodes = N` boxes of `cfg.platform` run AD-LDA one level
+//! up (Newman et al., "Scalable Inference for LDA"): the workers form one
+//! flat list with globally unique device ids, node `n` owning workers
+//! `n·G .. (n+1)·G`. Each superstep every node runs its bodies and its
+//! intra-node sync exactly as a lone node does; then, for `N > 1` only,
+//! each node's summed replica is encoded as a sparse [`DeltaPayload`],
+//! the payloads merge up a reduce tree over the inter-node link
+//! ([`sync_phi_nodes`]), and the merged global payload is stored into
+//! every replica. The chunk layout is planned once from the per-node
+//! platform (`C = M × G`, independent of `N`), so the trained model is
+//! bit-identical for any node count; only the modelled time differs.
+//!
+//! **Failure.** Each worker is its own failure domain at any node count:
+//! retry with backoff, then chunk migration — to the survivors on the
+//! lost worker's own node, or, once a whole node is gone, to the other
+//! nodes' workers ([`CuldaTrainer::fail_node`] drains a node on demand).
 
 use crate::config::{SamplingMode, SyncMode, TrainerConfig};
+use crate::delta::DeltaPayload;
 use crate::error::{CuldaError, RecoveryStats};
 use crate::partition::PartitionedCorpus;
 use crate::schedule::{chunk_owner, chunk_state_bytes, plan_partition, MemoryPlan};
-use crate::sync::{
-    sync_phi_auto, sync_phi_delta, sync_phi_replicas, sync_phi_ring, SyncReport, SyncTotals,
-};
+use crate::sync::{sync_phi, sync_phi_nodes, sync_phi_replicas, SyncReport, SyncTotals};
 use crate::worker::{run_workers_traced, trace_staging, GpuWorker};
 use culda_corpus::Corpus;
 use culda_gpusim::memory::Reservation;
 use culda_gpusim::{FaultPlan, GpuCluster, Link, ProfileLog};
 use culda_metrics::{
     Breakdown, GpuBreakdowns, IterationStat, Json, LdaLoglik, MetricsRegistry, Phase, RunHistory,
-    TraceSink, SIM_PID, SYNC_TID,
+    TraceSink, NODE_TID_BASE, SIM_PID, SYNC_TID,
 };
 use culda_sampler::{
     auto_tokens_per_block, build_block_map, choose_sparse_sampling, BlockWork, ChunkState,
     IterationPlan, PhiDelta, PhiModel, PlanReport, Priors,
 };
+use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
@@ -62,16 +80,19 @@ pub struct TrainOutcome {
     pub recovery: RecoveryStats,
 }
 
-/// The CuLDA trainer: a corpus partitioned over per-GPU workers.
+/// The CuLDA trainer: a corpus partitioned by document over the per-GPU
+/// workers of `cfg.nodes` nodes.
 pub struct CuldaTrainer {
-    /// Run configuration.
+    /// Run configuration (`cfg.platform` is one node's box).
     pub cfg: TrainerConfig,
     part: PartitionedCorpus,
     plan: MemoryPlan,
     priors: Priors,
     workers: Vec<GpuWorker>,
+    gpus_per_node: usize,
     peer_link: Link,
     host_link: Link,
+    node_link: Link,
     history: RunHistory,
     breakdown: Breakdown,
     profile: ProfileLog,
@@ -100,8 +121,16 @@ impl CuldaTrainer {
     /// comes back as [`CuldaError::Config`] instead of a panic.
     pub fn try_new(corpus: &Corpus, cfg: TrainerConfig) -> Result<Self, CuldaError> {
         cfg.validate()?;
+        // The chunk plan comes from the *per-node* platform: C = M × G,
+        // independent of the node count.
         let (part, plan) = plan_partition(corpus, &cfg);
-        let mut cluster = GpuCluster::from_platform(&cfg.platform);
+        let gpus_per_node = cfg.platform.num_gpus;
+        // One flat device pool with globally unique ids 0..N·G. The
+        // cluster is N boxes of the same platform; `with_gpus` caps at the
+        // installed count, so widen a clone directly.
+        let mut pool = cfg.platform.clone();
+        pool.num_gpus = cfg.nodes * gpus_per_node;
+        let mut cluster = GpuCluster::from_platform(&pool);
         if let Some(link) = cfg.peer_link {
             cluster.peer_link = link;
         }
@@ -200,11 +229,13 @@ impl CuldaTrainer {
         }
 
         Ok(Self {
+            node_link: cfg.effective_node_link(),
             cfg,
             part,
             plan,
             priors,
             workers,
+            gpus_per_node,
             peer_link,
             host_link,
             history: RunHistory::new(),
@@ -232,8 +263,9 @@ impl CuldaTrainer {
         self.faults = Some(plan);
     }
 
-    /// Run-level ϕ-sync traffic and timing totals (bytes moved at their
-    /// encoded size, dense-baseline bytes, payload nonzeros, seconds).
+    /// Run-level intra-node ϕ-sync traffic and timing totals, summed over
+    /// every node (bytes moved at their encoded size, dense-baseline
+    /// bytes, payload nonzeros, seconds).
     pub fn sync_totals(&self) -> SyncTotals {
         self.sync_totals
     }
@@ -248,9 +280,15 @@ impl CuldaTrainer {
     }
 
     /// Number of workers still alive (== GPU count until a permanent
-    /// fault exhausts some worker's retry budget).
+    /// fault exhausts some worker's retry budget or a node fails).
     pub fn num_alive(&self) -> usize {
         self.workers.iter().filter(|w| w.alive).count()
+    }
+
+    /// Number of nodes still taking part in supersteps: a node is alive
+    /// while any of its workers is.
+    pub fn num_alive_nodes(&self) -> usize {
+        (0..self.cfg.nodes).filter(|&n| self.node_alive(n)).count()
     }
 
     /// Attaches observability sinks to the trainer and all worker devices:
@@ -286,7 +324,7 @@ impl CuldaTrainer {
         self.metrics.clone()
     }
 
-    /// The chosen memory plan (`M`, `C`, byte budgets).
+    /// The chosen memory plan (`M`, `C`, byte budgets — per node).
     pub fn plan(&self) -> &MemoryPlan {
         &self.plan
     }
@@ -296,12 +334,13 @@ impl CuldaTrainer {
         &self.part
     }
 
-    /// Number of GPU workers.
+    /// Number of GPU workers across every node.
     pub fn num_gpus(&self) -> usize {
         self.workers.len()
     }
 
-    /// The per-GPU workers (read access for tests and examples).
+    /// The per-GPU workers of every node, in device order (read access
+    /// for tests and examples).
     pub fn workers(&self) -> &[GpuWorker] {
         &self.workers
     }
@@ -358,14 +397,28 @@ impl CuldaTrainer {
         self.iteration
     }
 
-    /// Latest clock among the *alive* workers' devices (current system
-    /// time; a dead device's clock is frozen at its point of loss).
-    fn system_time(&self) -> f64 {
-        self.workers
+    /// Worker indices of node `n`.
+    fn node_range(&self, n: usize) -> Range<usize> {
+        n * self.gpus_per_node..(n + 1) * self.gpus_per_node
+    }
+
+    fn node_alive(&self, n: usize) -> bool {
+        self.workers[self.node_range(n)].iter().any(|w| w.alive)
+    }
+
+    /// Latest clock among the *alive* workers' devices in `range` (a
+    /// dead device's clock is frozen at its point of loss).
+    fn now(&self, range: Range<usize>) -> f64 {
+        self.workers[range]
             .iter()
             .filter(|w| w.alive)
             .map(|w| w.device.now())
             .fold(0.0f64, f64::max)
+    }
+
+    /// Current system time: the latest alive clock on any node.
+    fn system_time(&self) -> f64 {
+        self.now(0..self.workers.len())
     }
 
     /// Barrier: every alive device's clock advances to the latest (the
@@ -394,7 +447,8 @@ impl CuldaTrainer {
     /// rebuilds θ and ϕ from them, and sets the iteration counter — the
     /// back-end of `crate::resume`. Timing state (clocks, history,
     /// breakdown) restarts from zero; the *chain* continues bit-identically
-    /// because the RNG streams are keyed by `(seed, iteration, token)`.
+    /// because the RNG streams are keyed by `(seed, iteration, token)`, so
+    /// a checkpoint resumes at any node count.
     ///
     /// Returns `Err` (and leaves the trainer unusable) on shape mismatch.
     pub fn restore_assignments(
@@ -492,8 +546,11 @@ impl CuldaTrainer {
             .unwrap_or_else(|e| panic!("unrecoverable training fault: {e}"))
     }
 
-    /// Fallible [`step`](Self::step): one full iteration with fault
-    /// recovery.
+    /// Fallible [`step`](Self::step): one full superstep with fault
+    /// recovery, in four stages — the iteration bodies with retry, the
+    /// rebalance of lost workers, each node's intra-node sync in
+    /// `cfg.sync_mode`, and (for `N > 1` only) the node-level Δϕ
+    /// reduce/broadcast applied to every replica.
     ///
     /// Each worker is its own failure domain. A worker whose iteration
     /// body hits an injected fault restores its pre-iteration (z, θ)
@@ -501,12 +558,13 @@ impl CuldaTrainer {
     /// `cfg.retry.max_attempts` tries; the body is idempotent against the
     /// read ϕ snapshot, so a successful retry is bit-identical to a
     /// fault-free run. A worker that exhausts its budget is declared lost:
-    /// its chunks migrate round-robin to the survivors, which re-run the
-    /// migrated bodies against the same snapshot (commutative ϕ adds keep
-    /// the summed model bit-identical), and the sync continues over the
-    /// survivors. Errors surface only when recovery is impossible:
-    /// [`CuldaError::AllWorkersLost`], a fault during the rebalance
-    /// itself, or a worker panic (a bug, not a fault).
+    /// its chunks migrate round-robin to the survivors on its node (or,
+    /// when none is left there, to every other node's workers), which
+    /// re-run the migrated bodies against the same snapshot (commutative ϕ
+    /// adds keep the summed model bit-identical), and the sync continues
+    /// over the survivors. Errors surface only when recovery is
+    /// impossible: [`CuldaError::AllWorkersLost`], a fault during the
+    /// rebalance itself, or a worker panic (a bug, not a fault).
     pub fn try_step(&mut self) -> Result<IterationStat, CuldaError> {
         self.try_step_impl(true)
     }
@@ -528,8 +586,9 @@ impl CuldaTrainer {
         // Resolve this iteration's p* fill path before the fan-out: every
         // worker must model the same choice, and auto reads the previous
         // iteration's global snapshot (any alive read replica — they are
-        // identical), so the decision is deterministic across GPU counts
-        // and chunk layouts. Either path computes bit-identical samples.
+        // identical), so the decision is deterministic across GPU counts,
+        // node counts and chunk layouts. Either path computes bit-identical
+        // samples.
         let sparse = match self.cfg.sampling_mode {
             SamplingMode::Dense => false,
             SamplingMode::Sparse => true,
@@ -609,21 +668,24 @@ impl CuldaTrainer {
                 .unwrap_or(Err(CuldaError::WorkerPanicked { device: i }))
         };
 
-        // Spawn G workers — each runs its full iteration body concurrently.
-        let results = if concurrent {
-            run_workers_traced(
-                &mut self.workers,
-                self.trace.as_deref(),
-                &format!("iter {iteration}"),
-                guarded,
-            )
-        } else {
-            self.workers
-                .iter_mut()
-                .enumerate()
-                .map(|(i, w)| guarded(i, w))
-                .collect()
-        };
+        // Nodes run one after another; each node's G workers run their
+        // full iteration bodies concurrently, one host thread apiece.
+        let label = format!("iter {iteration}");
+        let mut results = Vec::with_capacity(self.workers.len());
+        for (n, node) in self.workers.chunks_mut(self.gpus_per_node).enumerate() {
+            let base = n * node.len();
+            let node_body = |i: usize, w: &mut GpuWorker| guarded(base + i, w);
+            if concurrent {
+                results.extend(run_workers_traced(
+                    node,
+                    trace.as_deref(),
+                    &label,
+                    node_body,
+                ));
+            } else {
+                results.extend(node.iter_mut().enumerate().map(|(i, w)| node_body(i, w)));
+            }
+        }
 
         // Sort the joined results into reports and lost workers. Anything
         // other than a retry-exhausted loss is fatal.
@@ -698,88 +760,72 @@ impl CuldaTrainer {
             }
         }
 
-        // ϕ synchronization starts once every GPU finished its ϕ update and
-        // overlaps the (already-executed) θ updates. After a rebalance the
-        // migrated ϕ lands last, so the sync waits for everything.
-        let sync_start = if lost.is_empty() {
-            reports.iter().map(|r| r.phi_done_at).fold(t0, f64::max)
-        } else {
-            self.system_time()
-        };
-        let mode = self.cfg.effective_sync_mode();
-        let alive: Vec<&GpuWorker> = self.workers.iter().filter(|w| w.alive).collect();
-        let write_refs: Vec<&PhiModel> = alive.iter().map(|w| w.write_replica()).collect();
-        let alive_count = write_refs.len();
-        let gpu = &self.cfg.platform.gpu;
-        let sync: SyncReport = match mode {
-            SyncMode::DenseTree => sync_phi_replicas(&write_refs, gpu, &self.peer_link, &self.cfg),
-            SyncMode::DenseRing => sync_phi_ring(&write_refs, gpu, &self.peer_link, &self.cfg),
-            SyncMode::Delta | SyncMode::Auto => {
-                let delta_refs: Vec<&PhiDelta> = alive.iter().map(|w| w.delta()).collect();
-                if mode == SyncMode::Delta {
-                    sync_phi_delta(&write_refs, &delta_refs, gpu, &self.peer_link, &self.cfg)
-                } else {
-                    sync_phi_auto(&write_refs, &delta_refs, gpu, &self.peer_link, &self.cfg)
-                }
-            }
-        };
-        drop(write_refs);
-        drop(alive);
-        self.breakdown.add(Phase::SyncPhi, sync.total_seconds());
-        self.sync_totals.absorb(&sync);
-        // Δϕ nonzero density of the shipped payload — only meaningful when
-        // a sparse payload actually shipped.
+        // Intra-node ϕ synchronization, node by node. It starts once every
+        // GPU of the node finished its ϕ update and overlaps the
+        // (already-executed) θ updates. After a rebalance the migrated ϕ
+        // lands last, so the sync waits for everything.
         let phi_cells = (self.part.vocab_size * self.cfg.num_topics) as f64;
-        let delta_density =
-            (sync.mode == SyncMode::Delta && alive_count > 1).then(|| sync.nnz as f64 / phi_cells);
-        let sync_end = sync_start + sync.total_seconds();
-
-        // Draw the sync on its own track. It overlaps the θ-update kernels
-        // (sync_start = max(ϕ_done) can precede a device's last θ span), so
-        // it cannot sit on a device track without breaking B/E nesting.
-        if let Some(sink) = &self.trace {
-            if alive_count > 1 {
-                // Reduce: each device's ϕ contribution flows into the sync.
-                for (w, r) in self.workers.iter().zip(&reports).filter(|(w, _)| w.alive) {
-                    let id = sink.new_flow_id();
-                    sink.flow_start(SIM_PID, w.device.id as u32, "phi_reduce", r.phi_done_at, id);
-                    sink.flow_finish(SIM_PID, SYNC_TID, "phi_reduce", sync_start, id);
-                }
-                sink.span_sim(
-                    SYNC_TID,
-                    &format!("phi_sync iter {iteration}"),
-                    "sync",
-                    sync_start,
-                    sync_end,
-                    vec![
-                        ("reduce_s".into(), Json::Num(sync.reduce_seconds)),
-                        ("broadcast_s".into(), Json::Num(sync.broadcast_seconds)),
-                        ("rounds".into(), Json::from(sync.rounds)),
-                        ("gpus".into(), Json::from(alive_count)),
-                        ("mode".into(), Json::Str(sync.mode.to_string())),
-                        ("bytes".into(), Json::from(sync.bytes_moved)),
-                        ("nnz".into(), Json::from(sync.nnz)),
-                    ],
-                );
-                // Broadcast: the merged ϕ flows back out to every device.
-                for w in self.workers.iter().filter(|w| w.alive) {
-                    let id = sink.new_flow_id();
-                    sink.flow_start(SIM_PID, SYNC_TID, "phi_broadcast", sync_end, id);
-                    sink.flow_finish(SIM_PID, w.device.id as u32, "phi_broadcast", sync_end, id);
-                    sink.instant_sim(w.device.id as u32, "phi_ready", "sync", sync_end);
-                }
+        let mut delta_density = None;
+        let alive_nodes: Vec<usize> = (0..self.cfg.nodes)
+            .filter(|&n| self.node_alive(n))
+            .collect();
+        let mut node_ready: Vec<(usize, f64)> = Vec::with_capacity(alive_nodes.len());
+        for n in alive_nodes {
+            let range = self.node_range(n);
+            let sync_start = if lost.is_empty() {
+                reports[range.clone()]
+                    .iter()
+                    .map(|r| r.phi_done_at)
+                    .fold(t0, f64::max)
+            } else {
+                self.now(range.clone())
+            };
+            let alive: Vec<&GpuWorker> = self.workers[range.clone()]
+                .iter()
+                .filter(|w| w.alive)
+                .collect();
+            let write_refs: Vec<&PhiModel> = alive.iter().map(|w| w.write_replica()).collect();
+            let sync = sync_phi(
+                &write_refs,
+                &self.cfg.platform.gpu,
+                &self.peer_link,
+                &self.cfg,
+            );
+            self.breakdown.add(Phase::SyncPhi, sync.total_seconds());
+            self.sync_totals.absorb(&sync);
+            let sync_end = sync_start + sync.total_seconds();
+            for w in &alive {
+                w.device.advance_to(sync_end);
             }
+            if let Some(sink) = &self.trace {
+                self.trace_node_sync(sink, n, &reports, sync_start, &sync);
+            }
+            if let Some(reg) = &self.metrics {
+                reg.counter("sync.rounds").add(sync.rounds as u64);
+                reg.counter("sync.bytes").add(sync.bytes_moved);
+                reg.counter("sync.nnz").add(sync.nnz);
+                reg.gauge("sync.compression_ratio")
+                    .set(sync.compression_ratio());
+                reg.histogram("sync.seconds").record(sync.total_seconds());
+            }
+            // Δϕ nonzero density of the shipped payload — only meaningful
+            // when a sparse payload actually shipped.
+            if sync.mode == SyncMode::Delta && alive.len() > 1 {
+                delta_density = Some(sync.nnz as f64 / phi_cells);
+            }
+            node_ready.push((n, sync_end));
         }
+
+        // The node level: every node's sum travels as one Δϕ payload.
+        if self.cfg.nodes > 1 {
+            let inter = self.sync_nodes(&node_ready, t0, iteration);
+            delta_density = (node_ready.len() > 1).then(|| inter.nnz as f64 / phi_cells);
+        }
+
         if let Some(reg) = &self.metrics {
-            reg.counter("sync.rounds").add(sync.rounds as u64);
-            reg.counter("sync.bytes").add(sync.bytes_moved);
-            reg.counter("sync.nnz").add(sync.nnz);
-            reg.gauge("sync.compression_ratio")
-                .set(sync.compression_ratio());
             if let Some(d) = delta_density {
                 reg.gauge("sync.density").set(d);
             }
-            reg.histogram("sync.seconds").record(sync.total_seconds());
             // Sampling-path gauges: which p* fill ran, and the ϕ occupancy
             // that drives the auto decision (census of the freshly-summed
             // global model held by the write replicas at this point).
@@ -798,9 +844,8 @@ impl CuldaTrainer {
                 .set(nnz as f64 / self.part.vocab_size as f64);
         }
 
-        for w in self.workers.iter().filter(|w| w.alive) {
-            w.device.advance_to(sync_end);
-        }
+        // θ stragglers past the sync keep their clocks; the barrier picks
+        // them up.
         let t_end = self.barrier();
 
         // The freshly-summed write replicas become next iteration's read
@@ -825,56 +870,264 @@ impl CuldaTrainer {
         Ok(stat)
     }
 
-    /// Migrates every chunk of the just-lost workers to the survivors
-    /// (round-robin over ascending global chunk id — deterministic) and
-    /// re-runs the migrated iteration bodies there against the same read
-    /// ϕ snapshot. The write replicas were already cleared and partially
-    /// filled by the survivors' own bodies; the migrated ϕ contributions
-    /// are commutative atomic adds on top, so the post-sync global ϕ is
-    /// bit-identical to the fault-free run. Recovery itself is not
-    /// fault-tolerant: a fault firing during the re-run is fatal.
+    /// Draws node `n`'s intra-node sync. It overlaps the θ-update kernels
+    /// (`sync_start = max(ϕ_done)` can precede a device's last θ span), so
+    /// it cannot sit on a device track without breaking B/E nesting: one
+    /// node draws on the dedicated ϕ-sync track, a cluster on one track
+    /// per node (node syncs overlap each other).
+    fn trace_node_sync(
+        &self,
+        sink: &TraceSink,
+        n: usize,
+        reports: &[PlanReport],
+        sync_start: f64,
+        sync: &SyncReport,
+    ) {
+        let range = self.node_range(n);
+        let alive = || {
+            self.workers[range.clone()]
+                .iter()
+                .zip(&reports[range.clone()])
+                .filter(|(w, _)| w.alive)
+        };
+        let gpus = alive().count();
+        if gpus < 2 {
+            return;
+        }
+        let (tid, name) = if self.cfg.nodes == 1 {
+            (SYNC_TID, "phi_sync")
+        } else {
+            (NODE_TID_BASE + n as u32, "node_sync")
+        };
+        let iteration = self.iteration;
+        let sync_end = sync_start + sync.total_seconds();
+        // Reduce: each device's ϕ contribution flows into the sync.
+        for (w, r) in alive() {
+            let id = sink.new_flow_id();
+            sink.flow_start(SIM_PID, w.device.id as u32, "phi_reduce", r.phi_done_at, id);
+            sink.flow_finish(SIM_PID, tid, "phi_reduce", sync_start, id);
+        }
+        sink.span_sim(
+            tid,
+            &format!("{name} iter {iteration}"),
+            "sync",
+            sync_start,
+            sync_end,
+            vec![
+                ("reduce_s".into(), Json::Num(sync.reduce_seconds)),
+                ("broadcast_s".into(), Json::Num(sync.broadcast_seconds)),
+                ("rounds".into(), Json::from(sync.rounds)),
+                ("gpus".into(), Json::from(gpus)),
+                ("mode".into(), Json::Str(sync.mode.to_string())),
+                ("bytes".into(), Json::from(sync.bytes_moved)),
+                ("nnz".into(), Json::from(sync.nnz)),
+            ],
+        );
+        // Broadcast: the merged ϕ flows back out to every device.
+        for (w, _) in alive() {
+            let id = sink.new_flow_id();
+            sink.flow_start(SIM_PID, tid, "phi_broadcast", sync_end, id);
+            sink.flow_finish(SIM_PID, w.device.id as u32, "phi_broadcast", sync_end, id);
+            sink.instant_sim(w.device.id as u32, "phi_ready", "sync", sync_end);
+        }
+    }
+
+    /// The node-level superstep sync (`N > 1`): each alive node's summed
+    /// replica becomes one Δϕ payload — its rows are the union of the
+    /// node's dirty-row bitmaps, which covers every row the sum can be
+    /// nonzero in (counts are non-negative) — and the payloads merge up
+    /// the reduce tree over the node link, starting once the last node
+    /// is ready. The merged global payload is stored into every alive
+    /// write replica, valid because each replica's node sum is a
+    /// cell-subset of the global sum.
+    fn sync_nodes(&mut self, node_ready: &[(usize, f64)], t0: f64, iteration: u32) -> SyncReport {
+        let inter_start = node_ready.iter().map(|&(_, t)| t).fold(t0, f64::max);
+        let payloads: Vec<DeltaPayload> = node_ready
+            .iter()
+            .map(|&(n, _)| {
+                let alive: Vec<&GpuWorker> = self.workers[self.node_range(n)]
+                    .iter()
+                    .filter(|w| w.alive)
+                    .collect();
+                let union = PhiDelta::new(self.part.vocab_size);
+                for v in alive.iter().flat_map(|w| w.delta().touched_rows()) {
+                    union.mark_row(v);
+                }
+                DeltaPayload::from_replica(alive[0].write_replica(), &union)
+            })
+            .collect();
+        let shape = self.global_phi();
+        let (global, inter) = sync_phi_nodes(
+            payloads,
+            shape,
+            &self.cfg.platform.gpu,
+            &self.node_link,
+            &self.cfg,
+        );
+        let inter_end = inter_start + inter.total_seconds();
+        // With one node left its replicas already hold the sum.
+        if node_ready.len() > 1 {
+            for w in self.workers.iter().filter(|w| w.alive) {
+                global.apply_to(w.write_replica());
+            }
+        }
+        self.breakdown.add(Phase::SyncPhi, inter.total_seconds());
+        for w in self.workers.iter().filter(|w| w.alive) {
+            w.device.advance_to(inter_end);
+        }
+
+        if let Some(sink) = &self.trace {
+            for &(n, ready) in node_ready {
+                let id = sink.new_flow_id();
+                sink.flow_start(SIM_PID, NODE_TID_BASE + n as u32, "node_reduce", ready, id);
+                sink.flow_finish(SIM_PID, SYNC_TID, "node_reduce", inter_start, id);
+            }
+            sink.span_sim(
+                SYNC_TID,
+                &format!("cluster_sync iter {iteration}"),
+                "sync",
+                inter_start,
+                inter_end,
+                vec![
+                    ("nodes".into(), Json::from(node_ready.len())),
+                    ("bytes".into(), Json::from(inter.bytes_moved)),
+                    ("nnz".into(), Json::from(inter.nnz)),
+                    ("rounds".into(), Json::from(inter.rounds)),
+                ],
+            );
+            for &(n, _) in node_ready {
+                let id = sink.new_flow_id();
+                sink.flow_start(SIM_PID, SYNC_TID, "node_broadcast", inter_end, id);
+                let node_tid = NODE_TID_BASE + n as u32;
+                sink.flow_finish(SIM_PID, node_tid, "node_broadcast", inter_end, id);
+            }
+        }
+        if let Some(reg) = &self.metrics {
+            reg.counter("cluster.sync.bytes").add(inter.bytes_moved);
+            reg.counter("cluster.sync.nnz").add(inter.nnz);
+            reg.gauge("cluster.sync.compression_ratio")
+                .set(inter.compression_ratio());
+            reg.histogram("cluster.sync.seconds")
+                .record(inter.total_seconds());
+            reg.gauge("cluster.nodes_alive")
+                .set(node_ready.len() as f64);
+        }
+        inter
+    }
+
+    /// Marks every worker of `node` dead and drains its chunks
+    /// round-robin (ascending global id) to the other nodes' workers, each
+    /// migration charged as one chunk-state transfer over the inter-node
+    /// link to the receiving device. The migrated chunks run on their new
+    /// owners from the next superstep; the model stays bit-identical
+    /// because chunk placement never enters the RNG keying.
+    pub fn fail_node(&mut self, node: usize) -> Result<(), CuldaError> {
+        if node >= self.cfg.nodes {
+            return Err(CuldaError::Invalid(format!(
+                "node {node} out of range (cluster has {})",
+                self.cfg.nodes
+            )));
+        }
+        if !self.node_alive(node) {
+            return Err(CuldaError::Invalid(format!("node {node} is already dead")));
+        }
+        let lost: Vec<usize> = self
+            .node_range(node)
+            .filter(|&i| self.workers[i].alive)
+            .collect();
+        for &i in &lost {
+            self.workers[i].alive = false;
+        }
+        self.recovery.workers_lost += lost.len() as u64;
+        self.migrate(&lost).map(drop)
+    }
+
+    /// Moves every chunk of the (already dead) `lost` workers to
+    /// survivors, in ascending global chunk id — deterministic. A node
+    /// with a survivor keeps its chunks: they go round-robin to its own
+    /// survivors over the host link. A node with none left is drained
+    /// round-robin to every other node's survivors over the node link.
+    /// Each transfer is charged to the receiving device as recovery time.
+    /// Returns, per worker, the local slots of the chunks it received.
+    fn migrate(&mut self, lost: &[usize]) -> Result<Vec<Vec<usize>>, CuldaError> {
+        if self.num_alive() == 0 {
+            return Err(CuldaError::AllWorkersLost);
+        }
+        let mut added: Vec<Vec<usize>> = vec![Vec::new(); self.workers.len()];
+        for n in 0..self.cfg.nodes {
+            let range = self.node_range(n);
+            let mut chunks: Vec<(usize, ChunkState, Vec<BlockWork>)> = Vec::new();
+            for &li in lost.iter().filter(|&&li| range.contains(&li)) {
+                chunks.extend(self.workers[li].drain_chunks());
+            }
+            if chunks.is_empty() {
+                continue;
+            }
+            chunks.sort_by_key(|&(gi, ..)| gi);
+            let survivors: Vec<usize> = range.clone().filter(|&i| self.workers[i].alive).collect();
+            let (targets, link) = if survivors.is_empty() {
+                self.trace_node_failure(n);
+                let everywhere = (0..self.workers.len()).filter(|&i| self.workers[i].alive);
+                (everywhere.collect::<Vec<_>>(), self.node_link)
+            } else {
+                (survivors, self.host_link)
+            };
+            for (k, (gi, state, map)) in chunks.into_iter().enumerate() {
+                let target = targets[k % targets.len()];
+                let bytes = chunk_state_bytes(&self.part, gi, self.cfg.num_topics);
+                let w = &mut self.workers[target];
+                // Recovery is not fault-tolerant: a drop fault armed on the
+                // receiving device loses the migration and aborts training.
+                let secs = w.device.try_transfer(bytes, &link)?;
+                w.breakdown.add(Phase::Recovery, secs);
+                self.breakdown.add(Phase::Recovery, secs);
+                added[target].push(w.num_chunks());
+                w.push_chunk(gi, state, map);
+                self.recovery.chunks_migrated += 1;
+            }
+        }
+        Ok(added)
+    }
+
+    /// Records that node `n` lost its last worker.
+    fn trace_node_failure(&self, n: usize) {
+        if let Some(sink) = &self.trace {
+            sink.instant_sim(
+                NODE_TID_BASE + n as u32,
+                "node_failed",
+                "recovery",
+                self.system_time(),
+            );
+        }
+        if let Some(reg) = &self.metrics {
+            reg.counter("cluster.nodes_failed").inc();
+            reg.gauge("cluster.nodes_alive")
+                .set(self.num_alive_nodes() as f64);
+        }
+    }
+
+    /// Migrates every chunk of the just-lost workers to survivors (see
+    /// [`Self::migrate`]) and re-runs the migrated iteration bodies there
+    /// against the same read ϕ snapshot. The write replicas were already
+    /// cleared and partially filled by the survivors' own bodies; the
+    /// migrated ϕ contributions are commutative atomic adds on top, so the
+    /// post-sync global ϕ is bit-identical to the fault-free run. Recovery
+    /// itself is not fault-tolerant: a fault firing during the re-run is
+    /// fatal.
     fn rebalance(
         &mut self,
         lost: &[usize],
         iteration: u32,
         sparse: bool,
     ) -> Result<(), CuldaError> {
-        let survivors: Vec<usize> = (0..self.workers.len())
-            .filter(|&i| self.workers[i].alive)
-            .collect();
-        if survivors.is_empty() {
-            return Err(CuldaError::AllWorkersLost);
-        }
-        let mut migrated: Vec<(usize, ChunkState, Vec<BlockWork>)> = Vec::new();
-        for &li in lost {
-            migrated.extend(self.workers[li].drain_chunks());
-        }
-        migrated.sort_by_key(|&(gi, ..)| gi);
-
-        // Deal the chunks out and charge each migration's host-mediated
-        // state transfer to the receiving device.
-        let mut added: Vec<Vec<usize>> = vec![Vec::new(); self.workers.len()];
-        for (n, (gi, state, map)) in migrated.into_iter().enumerate() {
-            let target = survivors[n % survivors.len()];
-            let bytes = chunk_state_bytes(&self.part, gi, self.cfg.num_topics);
-            let w = &mut self.workers[target];
-            // Recovery is not fault-tolerant: a drop fault armed on the
-            // receiving device loses the migration and aborts training.
-            let secs = w.device.try_transfer(bytes, &self.host_link)?;
-            w.breakdown.add(Phase::Recovery, secs);
-            self.breakdown.add(Phase::Recovery, secs);
-            added[target].push(w.num_chunks());
-            w.push_chunk(gi, state, map);
-            self.recovery.chunks_migrated += 1;
-        }
-
-        for &wi in &survivors {
-            if added[wi].is_empty() {
+        let added = self.migrate(lost)?;
+        for (wi, locals) in added.iter().enumerate() {
+            if locals.is_empty() {
                 continue;
             }
             let start = self.workers[wi].device.now();
             let r = self.workers[wi]
-                .try_run_chunks(&added[wi], &self.part, &self.cfg, iteration, sparse)?;
+                .try_run_chunks(locals, &self.part, &self.cfg, iteration, sparse)?;
             let spent = r.sampling_seconds + r.phi_seconds + r.theta_seconds;
             self.workers[wi].breakdown.add(Phase::Recovery, spent);
             self.breakdown.add(Phase::Recovery, spent);
@@ -886,7 +1139,7 @@ impl CuldaTrainer {
                     start,
                     self.workers[wi].device.now(),
                     vec![
-                        ("chunks".into(), Json::from(added[wi].len())),
+                        ("chunks".into(), Json::from(locals.len())),
                         ("iteration".into(), Json::from(iteration as usize)),
                     ],
                 );
@@ -1437,12 +1690,17 @@ mod tests {
     fn ring_sync_changes_time_not_results() {
         let c = corpus();
         let run = |ring: bool| {
-            let mut config = cfg(Platform::pascal())
+            let mode = if ring {
+                SyncMode::DenseRing
+            } else {
+                SyncMode::DenseTree
+            };
+            let config = cfg(Platform::pascal())
                 .score_every(0)
                 .iterations(3)
+                .sync_mode(mode)
                 .build()
                 .unwrap();
-            config.ring_sync = ring;
             let mut t = CuldaTrainer::new(&c, config);
             for _ in 0..3 {
                 t.step();
@@ -1456,6 +1714,28 @@ mod tests {
             "sync algorithm changed results"
         );
         assert!(t_tree != t_ring, "the two syncs should cost differently");
+    }
+
+    #[test]
+    fn host_workers_reach_every_device_at_any_node_count() {
+        let c = corpus();
+        for nodes in [1, 2] {
+            let config = cfg(Platform::pascal().with_gpus(2))
+                .nodes(nodes)
+                .host_workers(1)
+                .build()
+                .unwrap();
+            let t = CuldaTrainer::new(&c, config);
+            assert_eq!(t.num_gpus(), 2 * nodes);
+            for w in t.workers() {
+                assert_eq!(
+                    w.device.workers(),
+                    1,
+                    "device {} at {nodes} node(s)",
+                    w.device.id
+                );
+            }
+        }
     }
 
     #[test]

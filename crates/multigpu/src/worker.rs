@@ -16,7 +16,6 @@
 //! worker mutates only state it owns.
 
 use crate::config::TrainerConfig;
-use crate::error::CuldaError;
 use crate::partition::PartitionedCorpus;
 use crate::schedule::chunk_state_bytes;
 use culda_corpus::CsrMatrix;
@@ -431,46 +430,12 @@ where
     })
 }
 
-/// The fallible counterpart of [`run_workers`]: `f` returns
-/// `Result<R, CuldaError>`, and a worker body that **panics** (a genuine
-/// bug, not an injected fault) is caught at the fan-out boundary and
-/// surfaced as [`CuldaError::WorkerPanicked`] instead of tearing down the
-/// process — the other workers still run to completion and their results
-/// are preserved. Results are in worker order, one per worker.
-pub fn run_workers_fallible<R, F>(workers: &mut [GpuWorker], f: F) -> Vec<Result<R, CuldaError>>
-where
-    R: Send,
-    F: Fn(usize, &mut GpuWorker) -> Result<R, CuldaError> + Sync,
-{
-    use std::panic::{catch_unwind, AssertUnwindSafe};
-    if workers.len() == 1 {
-        let one = catch_unwind(AssertUnwindSafe(|| f(0, &mut workers[0])))
-            .unwrap_or(Err(CuldaError::WorkerPanicked { device: 0 }));
-        return vec![one];
-    }
-    let f = &f;
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = workers
-            .iter_mut()
-            .enumerate()
-            .map(|(i, w)| scope.spawn(move || f(i, w)))
-            .collect();
-        handles
-            .into_iter()
-            .enumerate()
-            .map(|(i, h)| {
-                h.join()
-                    .unwrap_or(Err(CuldaError::WorkerPanicked { device: i }))
-            })
-            .collect()
-    })
-}
-
 /// [`run_workers`] with host-side tracing: when `trace` is attached, each
-/// worker's body is wrapped in a wall-clock span named `"{label} · gpu {i}"`
-/// on that worker's host track ([`culda_metrics::HOST_PID`], tid = worker
-/// index), carrying the device's simulated clock at completion. With no
-/// sink this is exactly `run_workers`.
+/// worker's body is wrapped in a wall-clock span named `"{label} · gpu {d}"`
+/// on that worker's host track ([`culda_metrics::HOST_PID`], tid = device
+/// id `d`, unique across a cluster's nodes), carrying the device's
+/// simulated clock at completion. With no sink this is exactly
+/// `run_workers`.
 pub fn run_workers_traced<R, F>(
     workers: &mut [GpuWorker],
     trace: Option<&culda_metrics::TraceSink>,
@@ -486,9 +451,10 @@ where
         Some(sink) => run_workers(workers, |i, w| {
             let start = sink.host_now_us();
             let out = f(i, w);
+            let d = w.device.id;
             sink.span_host(
-                i as u32,
-                &format!("{label} · gpu {i}"),
+                d as u32,
+                &format!("{label} · gpu {d}"),
                 "iteration",
                 start,
                 sink.host_now_us(),

@@ -111,6 +111,17 @@ cargo run --release -q -p culda-cli -- train --docword "$smoke/c.dw" \
 grep -q 'cluster: 2 node(s)' "$smoke/nodes.log"
 cmp "$smoke/s-dense-tree.phi" "$smoke/n.phi"
 
+echo "==> multi-node fault smoke test"
+# The per-worker failure domain covers every node count: a transient
+# launch fault on a 2-node run retries (exit 0) and trains the exact
+# same model as the clean 2-node run.
+cargo run --release -q -p culda-cli -- train --docword "$smoke/c.dw" \
+    --vocab "$smoke/c.v" --model "$smoke/nf.phi" --topics 8 --iters 3 \
+    --score-every 0 --platform pascal --gpus 2 --nodes 2 \
+    --fault-plan launch:0:1 | tee "$smoke/nodes-fault.log"
+grep -q '1 retry(s)' "$smoke/nodes-fault.log"
+cmp "$smoke/n.phi" "$smoke/nf.phi"
+
 echo "==> telemetry smoke test (eval, snapshots, report, openmetrics)"
 # A telemetry-laden run must stream parseable snapshots, export a lintable
 # OpenMetrics exposition, render a report — and train the bit-identical

@@ -6,9 +6,10 @@
 //! are commutative sums over assignments, so a retried iteration — or a
 //! chunk re-run on a surviving GPU after its owner died — produces the
 //! same bits as a fault-free run. These tests sweep single transient
-//! faults over every (kind, device, iteration) coordinate and pin
-//! bit-identity of the final ϕ, then exercise the permanent-loss
-//! rebalance path with the trace/metrics sinks attached.
+//! faults over every (kind, device, iteration) coordinate on 1, 2 and 4
+//! nodes and pin bit-identity of the final ϕ, then exercise the
+//! permanent-loss rebalance path — and the drain of a whole node — with
+//! the trace/metrics sinks attached.
 
 use culda::corpus::{Corpus, SynthSpec};
 use culda::gpusim::{FaultKind, FaultPlan, FaultSpec, Platform};
@@ -43,12 +44,28 @@ fn cfg() -> TrainerConfig {
         .expect("valid config")
 }
 
+/// `nodes` boxes of two GPUs over the same 16 chunks (`C = M × G` is
+/// planned per node, so `M = 8` at every node count): every device owns
+/// chunks up to 4 nodes, and every node count trains the same model.
+fn cfg_on(nodes: usize) -> TrainerConfig {
+    TrainerConfig::builder(K, Platform::pascal().with_gpus(2))
+        .iterations(ITERS)
+        .score_every(0)
+        .seed(17)
+        .nodes(nodes)
+        .chunks_per_gpu(Some(8))
+        .build()
+        .expect("valid config")
+}
+
+const NODE_COUNTS: [usize; 3] = [1, 2, 4];
+
 fn phi_counts(phi: &PhiModel) -> Vec<u32> {
     (0..phi.phi.len()).map(|i| phi.phi.load(i)).collect()
 }
 
-fn train_with(c: &Corpus, plan: Option<Arc<FaultPlan>>) -> CuldaTrainer {
-    let mut t = CuldaTrainer::try_new(c, cfg()).expect("trainer builds");
+fn train_with(c: &Corpus, cfg: TrainerConfig, plan: Option<Arc<FaultPlan>>) -> CuldaTrainer {
+    let mut t = CuldaTrainer::try_new(c, cfg).expect("trainer builds");
     if let Some(p) = plan {
         t.attach_fault_plan(p);
     }
@@ -61,35 +78,30 @@ fn train_with(c: &Corpus, plan: Option<Arc<FaultPlan>>) -> CuldaTrainer {
 #[test]
 fn any_single_transient_fault_is_bit_identical_to_fault_free() {
     let c = corpus();
-    let reference = train_with(&c, None);
+    let reference = train_with(&c, cfg_on(1), None);
     let want_phi = phi_counts(reference.global_phi());
     let want_ll = reference.loglik_per_token();
 
-    for kind in [
-        FaultKind::KernelLaunch,
-        FaultKind::MemoryCorruption,
-        FaultKind::LinkDrop,
-    ] {
-        for device in 0..2 {
-            for iteration in 0..ITERS {
-                let plan = Arc::new(FaultPlan::from_specs(vec![FaultSpec::new(
-                    kind, device, iteration,
-                )]));
-                let t = train_with(&c, Some(Arc::clone(&plan)));
-                let rec = t.recovery();
-                assert_eq!(
-                    plan.injected(),
-                    1,
-                    "{kind:?} at ({device}, {iteration}) never fired"
-                );
-                assert_eq!(rec.retries, 1, "{kind:?} at ({device}, {iteration})");
-                assert_eq!(rec.workers_lost, 0);
-                assert_eq!(
-                    phi_counts(t.global_phi()),
-                    want_phi,
-                    "{kind:?} at ({device}, {iteration}) changed ϕ"
-                );
-                assert!((t.loglik_per_token() - want_ll).abs() < 1e-12);
+    for nodes in NODE_COUNTS {
+        for kind in [
+            FaultKind::KernelLaunch,
+            FaultKind::MemoryCorruption,
+            FaultKind::LinkDrop,
+        ] {
+            for device in 0..2 * nodes {
+                for iteration in 0..ITERS {
+                    let at = format!("{kind:?} at ({device}, {iteration}) on {nodes} node(s)");
+                    let plan = Arc::new(FaultPlan::from_specs(vec![FaultSpec::new(
+                        kind, device, iteration,
+                    )]));
+                    let t = train_with(&c, cfg_on(nodes), Some(Arc::clone(&plan)));
+                    let rec = t.recovery();
+                    assert_eq!(plan.injected(), 1, "{at} never fired");
+                    assert_eq!(rec.retries, 1, "{at}");
+                    assert_eq!(rec.workers_lost, 0, "{at}");
+                    assert_eq!(phi_counts(t.global_phi()), want_phi, "{at} changed ϕ");
+                    assert!((t.loglik_per_token() - want_ll).abs() < 1e-12, "{at}");
+                }
             }
         }
     }
@@ -104,7 +116,7 @@ fn transient_faults_under_delta_sync_never_double_apply() {
     // `SyncMode::Delta` and pin bit-identity against the *dense-tree*
     // fault-free reference (cross-mode and cross-fault at once).
     let c = corpus();
-    let reference = train_with(&c, None);
+    let reference = train_with(&c, cfg(), None);
     let want_phi = phi_counts(reference.global_phi());
 
     let delta_cfg = || {
@@ -142,55 +154,105 @@ fn transient_faults_under_delta_sync_never_double_apply() {
 #[test]
 fn permanent_loss_rebalances_chunks_and_keeps_phi_bit_identical() {
     let c = corpus();
-    let reference = train_with(&c, None);
+    let reference = train_with(&c, cfg_on(1), None);
     let want_phi = phi_counts(reference.global_phi());
 
-    let plan = Arc::new(FaultPlan::from_specs(vec![FaultSpec::new(
-        FaultKind::KernelLaunch,
-        1,
-        1,
-    )
-    .permanent()]));
-    let trace = Arc::new(TraceSink::new());
+    for nodes in NODE_COUNTS {
+        for device in 0..2 * nodes {
+            let at = format!("device {device} on {nodes} node(s)");
+            let plan = Arc::new(FaultPlan::from_specs(vec![FaultSpec::new(
+                FaultKind::KernelLaunch,
+                device,
+                1,
+            )
+            .permanent()]));
+            let trace = Arc::new(TraceSink::new());
+            let registry = Arc::new(MetricsRegistry::new());
+            let mut t = CuldaTrainer::try_new(&c, cfg_on(nodes)).unwrap();
+            t.attach_observability(Some(Arc::clone(&trace)), Some(Arc::clone(&registry)));
+            t.attach_fault_plan(Arc::clone(&plan));
+            for _ in 0..ITERS {
+                t.try_step()
+                    .expect("survivor absorbs the dead GPU's chunks");
+            }
+
+            let rec = t.recovery();
+            assert_eq!(rec.workers_lost, 1, "{at}: {rec}");
+            assert_eq!(
+                rec.chunks_migrated as usize,
+                8 / nodes,
+                "{at}: every chunk of the dead GPU migrates"
+            );
+            assert!(
+                rec.retries >= 2,
+                "{at}: retry budget was spent first: {rec}"
+            );
+            assert!(rec.faults_injected >= 3, "{at}: {rec}");
+            assert_eq!(t.num_alive(), 2 * nodes - 1, "{at}");
+            assert_eq!(
+                t.num_alive_nodes(),
+                nodes,
+                "{at}: its node partner survives"
+            );
+            assert_eq!(
+                phi_counts(t.global_phi()),
+                want_phi,
+                "{at}: rebalanced training diverged from the fault-free model"
+            );
+
+            // The recovery timeline is observable: retry and rebalance
+            // spans in the trace, matching counters in the registry.
+            let events = trace.events();
+            for name in ["worker.retry", "rebalance", "fault.injected"] {
+                assert!(events.iter().any(|e| e.name == name), "{at}: no {name}");
+            }
+            assert!(registry.counter("worker.retry").value() >= 2, "{at}");
+            assert!(registry.counter("rebalance").value() >= 1, "{at}");
+            assert!(registry.counter("fault.injected").value() >= 3, "{at}");
+            assert_eq!(registry.counter("cluster.nodes_failed").value(), 0, "{at}");
+        }
+    }
+}
+
+#[test]
+fn losing_every_gpu_of_a_node_drains_it_and_keeps_phi_bit_identical() {
+    let c = corpus();
+    let reference = train_with(&c, cfg_on(1), None);
+    let want_phi = phi_counts(reference.global_phi());
+
+    // Both GPUs of node 1 die in the same superstep: no survivor is left
+    // on the node, so its chunks drain over the node link to node 0 and
+    // re-run there before the sync.
+    let plan = Arc::new(FaultPlan::from_specs(
+        [2, 3]
+            .into_iter()
+            .map(|d| FaultSpec::new(FaultKind::KernelLaunch, d, 1).permanent())
+            .collect(),
+    ));
     let registry = Arc::new(MetricsRegistry::new());
-    let mut t = CuldaTrainer::try_new(&c, cfg()).unwrap();
-    t.attach_observability(Some(Arc::clone(&trace)), Some(Arc::clone(&registry)));
-    t.attach_fault_plan(Arc::clone(&plan));
+    let mut t = CuldaTrainer::try_new(&c, cfg_on(2)).unwrap();
+    t.attach_observability(None, Some(Arc::clone(&registry)));
+    t.attach_fault_plan(plan);
     for _ in 0..ITERS {
-        t.try_step()
-            .expect("survivor absorbs the dead GPU's chunks");
+        t.try_step().expect("node 0 absorbs node 1's chunks");
     }
 
     let rec = t.recovery();
-    assert_eq!(rec.workers_lost, 1, "{rec}");
-    assert_eq!(rec.chunks_migrated, 2, "both chunks of GPU 1 migrate");
-    assert!(rec.retries >= 2, "retry budget was spent first: {rec}");
-    assert!(rec.faults_injected >= 3, "{rec}");
-    assert_eq!(t.num_alive(), 1);
+    assert_eq!(rec.workers_lost, 2, "{rec}");
+    assert_eq!(
+        rec.chunks_migrated, 8,
+        "all of node 1's chunks drain: {rec}"
+    );
+    assert_eq!(t.num_alive_nodes(), 1);
+    assert_eq!(registry.counter("cluster.nodes_failed").value(), 1);
+    let tokens: usize = t.states().iter().map(|s| s.z.len()).sum();
+    assert_eq!(tokens as u64, c.num_tokens(), "the drain lost tokens");
+    t.check_invariants();
     assert_eq!(
         phi_counts(t.global_phi()),
         want_phi,
-        "rebalanced training diverged from the fault-free model"
+        "the drained cluster diverged from the fault-free model"
     );
-
-    // The recovery timeline is observable: retry and rebalance spans in
-    // the trace, matching counters in the registry.
-    let events = trace.events();
-    assert!(
-        events.iter().any(|e| e.name == "worker.retry"),
-        "no worker.retry span"
-    );
-    assert!(
-        events.iter().any(|e| e.name == "rebalance"),
-        "no rebalance span"
-    );
-    assert!(
-        events.iter().any(|e| e.name == "fault.injected"),
-        "no fault.injected instant"
-    );
-    assert!(registry.counter("worker.retry").value() >= 2);
-    assert!(registry.counter("rebalance").value() >= 1);
-    assert!(registry.counter("fault.injected").value() >= 3);
 }
 
 #[test]
