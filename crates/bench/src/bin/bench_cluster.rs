@@ -10,7 +10,7 @@
 //! and sweeps the node count. For every N the trained model must be
 //! bit-identical to the single-node run; what changes is the modelled
 //! wall-clock (shards sample in parallel, Δϕ payloads merge up the
-//! parameter-server tree over a 100 Gb/s node link) and the staging
+//! node-level reduce tree over a 100 Gb/s node link) and the staging
 //! overlap (`oocore.overlap_fraction`: the share of H2D time hidden
 //! behind sampling by the double-buffered prefetch).
 //!

@@ -45,8 +45,8 @@ pub const STAGE_TID_BASE: u32 = 3000;
 /// Base thread id (within [`SIM_PID`]) of the per-node tracks used by the
 /// cluster layer: node `n`'s intra-node ϕ sync spans trace on
 /// `NODE_TID_BASE + n` (they overlap across nodes, so they cannot share
-/// the single [`SYNC_TID`] track), with flow arrows into the
-/// parameter-server superstep span on [`SYNC_TID`].
+/// the single [`SYNC_TID`] track), with flow arrows into the node-level
+/// superstep span on [`SYNC_TID`].
 pub const NODE_TID_BASE: u32 = 4000;
 
 /// Chrome Trace Event phases used by the sink.

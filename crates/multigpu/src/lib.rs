@@ -11,7 +11,7 @@
 //! ([`trainer`]). The same trainer runs on any number of nodes
 //! (`TrainerConfig::nodes`): AD-LDA one level up, each node's summed ϕ
 //! merged over the inter-node link as one sparse Δϕ payload
-//! ([`sync::sync_phi_nodes`]), with per-worker retry, rebalance and node
+//! ([`sync::reduce_payloads`]), with per-worker retry, rebalance and node
 //! drain at every node count.
 
 //! ```
@@ -57,8 +57,8 @@ pub use policy::{compare_policies, compare_policies_analytic, PolicyComparison};
 pub use resume::{resume_any, resume_training, resume_word_training, save_training};
 pub use schedule::{chunk_owner, plan_partition, MemoryPlan};
 pub use sync::{
-    sync_phi, sync_phi_auto, sync_phi_delta, sync_phi_nodes, sync_phi_replicas, sync_phi_ring,
-    SyncReport, SyncTotals,
+    reduce_payloads, sync_phi_auto, sync_phi_delta, sync_phi_replicas, sync_phi_ring, SyncReport,
+    SyncTotals,
 };
 pub use trainer::{CuldaTrainer, TrainOutcome};
 pub use word_trainer::WordPartitionedTrainer;

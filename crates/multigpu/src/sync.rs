@@ -30,10 +30,10 @@
 //! executes the argmin, so its reported seconds equal the best fixed
 //! mode's by construction. All timing paths route through the same helper
 //! functions, making that equality exact (no floating-point drift between
-//! "predicted" and "executed" cost). [`sync_phi`] dispatches on the
-//! configured mode.
+//! "predicted" and "executed" cost). The trainer dispatches on the
+//! configured mode through one `sync_phi`.
 //!
-//! One level up, [`sync_phi_nodes`] runs the same payload tree over the
+//! One level up, [`reduce_payloads`] runs the same payload tree over the
 //! nodes of a cluster: each node's summed replica travels as one Δϕ
 //! payload over the inter-node link.
 
@@ -291,24 +291,19 @@ pub fn sync_phi_ring(
     dense_ring_report(g, elements, gpu, link, cfg.phi_elem_bytes())
 }
 
-/// The merged global payload plus its modelled cost, before application.
-/// `Auto` uses the plan to price delta sync without committing to it.
-struct DeltaPlan {
-    global: DeltaPayload,
-    report: SyncReport,
-}
-
 /// Builds per-GPU payloads, merges them up the Figure 4 tree, and prices
-/// every transfer at its *encoded* size. No replica is modified; the
-/// merge work is host-side bookkeeping and free in simulated time (its
-/// GPU-side cost is the add kernel charged per level).
+/// every transfer at its *encoded* size: the merged global payload plus
+/// its modelled cost, before application (`Auto` prices delta sync this
+/// way without committing to it). No replica is modified; the merge work
+/// is host-side bookkeeping and free in simulated time (its GPU-side cost
+/// is the add kernel charged per level).
 fn plan_phi_delta(
     replicas: &[&PhiModel],
     deltas: &[&PhiDelta],
     gpu: &GpuSpec,
     link: &Link,
     cfg: &TrainerConfig,
-) -> DeltaPlan {
+) -> (DeltaPayload, SyncReport) {
     assert!(!replicas.is_empty(), "no replicas to synchronize");
     assert_eq!(replicas.len(), deltas.len(), "replica/delta count mismatch");
     let mut payloads: Vec<DeltaPayload> = replicas
@@ -317,29 +312,35 @@ fn plan_phi_delta(
         .map(|(r, d)| DeltaPayload::from_replica(r, d))
         .collect();
     if payloads.len() == 1 {
-        return DeltaPlan {
-            global: payloads.pop().unwrap(),
-            report: SyncReport {
-                mode: SyncMode::Delta,
-                ..SyncReport::default()
-            },
+        let report = SyncReport {
+            mode: SyncMode::Delta,
+            ..SyncReport::default()
         };
+        return (payloads.pop().unwrap(), report);
     }
-    reduce_payloads(payloads, replicas[0], gpu, link, cfg.phi_elem_bytes())
+    reduce_payloads(payloads, replicas[0], gpu, link, cfg)
 }
 
-/// Merges `payloads` pairwise up the Figure 4 tree and prices the reduce
-/// and the broadcast of the merged payload at their encoded sizes.
-/// `shape` is any replica of the model (for `K` and the dense baseline).
-fn reduce_payloads(
+/// Merges `payloads` pairwise up the Figure 4 reduce tree over `link` and
+/// prices the reduce and the broadcast of the merged global payload at
+/// their encoded sizes. Returns that payload, for the caller to store
+/// into every replica, and the timing/traffic report. `shape` is any
+/// replica of the model (for `K` and the dense baseline). The intra-node
+/// Δϕ sync runs it over one payload per GPU; the trainer's node level over
+/// one payload per node and the inter-node link.
+///
+/// # Panics
+/// Panics if `payloads` is empty.
+pub fn reduce_payloads(
     payloads: Vec<DeltaPayload>,
     shape: &PhiModel,
     gpu: &GpuSpec,
     link: &Link,
-    e: u64,
-) -> DeltaPlan {
+    cfg: &TrainerConfig,
+) -> (DeltaPayload, SyncReport) {
     let g = payloads.len();
     assert!(g > 0, "no payloads to reduce");
+    let e = cfg.phi_elem_bytes();
     let k = shape.num_topics;
     let dense_bytes = 2 * (g as u64).saturating_sub(1) * replica_elements(shape) * e;
     let mut payloads: Vec<Option<DeltaPayload>> = payloads.into_iter().map(Some).collect();
@@ -379,18 +380,16 @@ fn reduce_payloads(
     let broadcast_seconds = f64::from(tree_rounds(g)) * link.transfer_seconds(global_bytes);
     bytes_moved += (g as u64 - 1) * global_bytes;
 
-    DeltaPlan {
-        report: SyncReport {
-            reduce_seconds,
-            broadcast_seconds,
-            rounds,
-            bytes_moved,
-            dense_bytes,
-            nnz: global.nnz(),
-            mode: SyncMode::Delta,
-        },
-        global,
-    }
+    let report = SyncReport {
+        reduce_seconds,
+        broadcast_seconds,
+        rounds,
+        bytes_moved,
+        dense_bytes,
+        nnz: global.nnz(),
+        mode: SyncMode::Delta,
+    };
+    (global, report)
 }
 
 /// Sparse Δϕ synchronization: encode each GPU's touched rows, merge the
@@ -406,13 +405,13 @@ pub fn sync_phi_delta(
     link: &Link,
     cfg: &TrainerConfig,
 ) -> SyncReport {
-    let plan = plan_phi_delta(replicas, deltas, gpu, link, cfg);
+    let (global, report) = plan_phi_delta(replicas, deltas, gpu, link, cfg);
     if replicas.len() > 1 {
         for r in replicas {
-            plan.global.apply_to(r);
+            global.apply_to(r);
         }
     }
-    plan.report
+    report
 }
 
 /// Models all three strategies for this iteration — the dense modes from
@@ -434,16 +433,16 @@ pub fn sync_phi_auto(
 
     let tree = dense_tree_report(g, elements, gpu, link, e);
     let ring = dense_ring_report(g, elements, gpu, link, e);
-    let delta = plan_phi_delta(replicas, deltas, gpu, link, cfg);
+    let (global, delta) = plan_phi_delta(replicas, deltas, gpu, link, cfg);
 
-    let delta_s = delta.report.total_seconds();
+    let delta_s = delta.total_seconds();
     if delta_s <= tree.total_seconds() && delta_s <= ring.total_seconds() {
         if g > 1 {
             for r in replicas {
-                delta.global.apply_to(r);
+                global.apply_to(r);
             }
         }
-        delta.report
+        delta
     } else if ring.total_seconds() <= tree.total_seconds() {
         sync_phi_ring(replicas, gpu, link, cfg)
     } else {
@@ -454,7 +453,7 @@ pub fn sync_phi_auto(
 /// Synchronizes the replicas in `cfg.sync_mode` — the one dispatch the
 /// trainer runs for every node. The Δϕ modes read each replica's own
 /// dirty-row bitmap.
-pub fn sync_phi(
+pub(crate) fn sync_phi(
     replicas: &[&PhiModel],
     gpu: &GpuSpec,
     link: &Link,
@@ -472,23 +471,6 @@ pub fn sync_phi(
             }
         }
     }
-}
-
-/// The node-level superstep sync: merges one Δϕ payload per node up the
-/// reduce tree over the inter-node `link` and broadcasts the merged
-/// global payload back. Returns that payload, for the caller to apply to
-/// every replica by store, and the timing/traffic report. `shape` is any
-/// replica of the model. With one payload nothing moves and the report
-/// is free.
-pub fn sync_phi_nodes(
-    payloads: Vec<DeltaPayload>,
-    shape: &PhiModel,
-    gpu: &GpuSpec,
-    link: &Link,
-    cfg: &TrainerConfig,
-) -> (DeltaPayload, SyncReport) {
-    let plan = reduce_payloads(payloads, shape, gpu, link, cfg.phi_elem_bytes());
-    (plan.global, plan.report)
 }
 
 #[cfg(test)]

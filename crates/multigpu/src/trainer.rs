@@ -35,7 +35,7 @@
 //! intra-node sync exactly as a lone node does; then, for `N > 1` only,
 //! each node's summed replica is encoded as a sparse [`DeltaPayload`],
 //! the payloads merge up a reduce tree over the inter-node link
-//! ([`sync_phi_nodes`]), and the merged global payload is stored into
+//! ([`reduce_payloads`]), and the merged global payload is stored into
 //! every replica. The chunk layout is planned once from the per-node
 //! platform (`C = M × G`, independent of `N`), so the trained model is
 //! bit-identical for any node count; only the modelled time differs.
@@ -50,7 +50,7 @@ use crate::delta::DeltaPayload;
 use crate::error::{CuldaError, RecoveryStats};
 use crate::partition::PartitionedCorpus;
 use crate::schedule::{chunk_owner, chunk_state_bytes, plan_partition, MemoryPlan};
-use crate::sync::{sync_phi, sync_phi_nodes, sync_phi_replicas, SyncReport, SyncTotals};
+use crate::sync::{reduce_payloads, sync_phi, sync_phi_replicas, SyncReport, SyncTotals};
 use crate::worker::{run_workers_traced, trace_staging, GpuWorker};
 use culda_corpus::Corpus;
 use culda_gpusim::memory::Reservation;
@@ -957,7 +957,7 @@ impl CuldaTrainer {
             })
             .collect();
         let shape = self.global_phi();
-        let (global, inter) = sync_phi_nodes(
+        let (global, inter) = reduce_payloads(
             payloads,
             shape,
             &self.cfg.platform.gpu,
@@ -1066,7 +1066,16 @@ impl CuldaTrainer {
             chunks.sort_by_key(|&(gi, ..)| gi);
             let survivors: Vec<usize> = range.clone().filter(|&i| self.workers[i].alive).collect();
             let (targets, link) = if survivors.is_empty() {
-                self.trace_node_failure(n);
+                // The node lost its last worker.
+                if let Some(sink) = &self.trace {
+                    let now = self.system_time();
+                    sink.instant_sim(NODE_TID_BASE + n as u32, "node_failed", "recovery", now);
+                }
+                if let Some(reg) = &self.metrics {
+                    reg.counter("cluster.nodes_failed").inc();
+                    reg.gauge("cluster.nodes_alive")
+                        .set(self.num_alive_nodes() as f64);
+                }
                 let everywhere = (0..self.workers.len()).filter(|&i| self.workers[i].alive);
                 (everywhere.collect::<Vec<_>>(), self.node_link)
             } else {
@@ -1087,23 +1096,6 @@ impl CuldaTrainer {
             }
         }
         Ok(added)
-    }
-
-    /// Records that node `n` lost its last worker.
-    fn trace_node_failure(&self, n: usize) {
-        if let Some(sink) = &self.trace {
-            sink.instant_sim(
-                NODE_TID_BASE + n as u32,
-                "node_failed",
-                "recovery",
-                self.system_time(),
-            );
-        }
-        if let Some(reg) = &self.metrics {
-            reg.counter("cluster.nodes_failed").inc();
-            reg.gauge("cluster.nodes_alive")
-                .set(self.num_alive_nodes() as f64);
-        }
     }
 
     /// Migrates every chunk of the just-lost workers to survivors (see
