@@ -57,8 +57,7 @@ pub use policy::{compare_policies, compare_policies_analytic, PolicyComparison};
 pub use resume::{resume_any, resume_training, resume_word_training, save_training};
 pub use schedule::{chunk_owner, plan_partition, MemoryPlan};
 pub use sync::{
-    reduce_payloads, sync_phi_auto, sync_phi_delta, sync_phi_replicas, sync_phi_ring, SyncReport,
-    SyncTotals,
+    sync_phi_auto, sync_phi_delta, sync_phi_replicas, sync_phi_ring, SyncReport, SyncTotals,
 };
 pub use trainer::{CuldaTrainer, TrainOutcome};
 pub use word_trainer::WordPartitionedTrainer;

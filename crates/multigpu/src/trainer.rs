@@ -29,16 +29,17 @@
 //! is the pipeline makespan instead of the kernel sum.
 //!
 //! **Nodes.** `cfg.nodes = N` boxes of `cfg.platform` run AD-LDA one level
-//! up (Newman et al., "Scalable Inference for LDA"): the workers form one
-//! flat list with globally unique device ids, node `n` owning workers
-//! `n·G .. (n+1)·G`. Each superstep every node runs its bodies and its
-//! intra-node sync exactly as a lone node does; then, for `N > 1` only,
-//! each node's summed replica is encoded as a sparse [`DeltaPayload`],
-//! the payloads merge up a reduce tree over the inter-node link
-//! ([`reduce_payloads`]), and the merged global payload is stored into
-//! every replica. The chunk layout is planned once from the per-node
-//! platform (`C = M × G`, independent of `N`), so the trained model is
-//! bit-identical for any node count; only the modelled time differs.
+//! up ("Scalable Inference for Latent Dirichlet Allocation"): the
+//! workers form one flat list with globally unique device ids, node `n`
+//! owning workers `n·G .. (n+1)·G`. Each superstep every node runs its
+//! bodies and its intra-node sync exactly as a lone node does; then, for
+//! `N > 1` only, each node's summed replica is encoded as a sparse
+//! [`DeltaPayload`], the payloads merge up a reduce tree over the
+//! inter-node link ([`reduce_payloads`]), and the merged global payload
+//! is stored into every replica. The chunk layout is planned once from
+//! the per-node platform (`C = M × G`, independent of `N`), so the
+//! trained model is bit-identical for any node count; only the modelled
+//! time differs.
 //!
 //! **Failure.** Each worker is its own failure domain at any node count:
 //! retry with backoff, then chunk migration — to the survivors on the
