@@ -7,10 +7,10 @@
 
 use culda::corpus::SynthSpec;
 use culda::gpusim::Platform;
-use culda::metrics::MetricsRegistry;
+use culda::metrics::{MetricsRegistry, Phase};
 use culda::multigpu::{
-    build_trainer, CuldaTrainer, DrawMode, PartitionPolicy, SamplingMode, SyncMode, TrainerConfig,
-    WordPartitionedTrainer,
+    build_trainer, CuldaTrainer, DrawMode, LdaTrainer, PartitionPolicy, SamplingMode, SyncMode,
+    TrainerConfig, WordPartitionedTrainer,
 };
 use std::sync::Arc;
 
@@ -130,8 +130,10 @@ fn k1024_auto_modes_run_is_pinned() {
     );
 }
 
-/// The partition-by-word trainer's chain on a small corpus.
-fn run_word_policy() -> u64 {
+/// The partition-by-word trainer's chain on a small corpus, and its
+/// modelled clock: per-iteration simulated seconds, the sampling, ϕ
+/// rebuild and θ-sync phase totals, and the `word_lda_sample` launches.
+fn run_word_policy() -> (u64, Vec<u64>, [u64; 3], u32) {
     let mut spec = SynthSpec::tiny();
     spec.num_docs = 80;
     spec.vocab_size = 150;
@@ -144,21 +146,51 @@ fn run_word_policy() -> u64 {
         .seed(0x601DE6)
         .build()
         .unwrap();
-    let mut t = WordPartitionedTrainer::new(&corpus, cfg);
-    for _ in 0..3 {
-        t.step();
-    }
+    let mut t: Box<dyn LdaTrainer> = Box::new(WordPartitionedTrainer::new(&corpus, cfg));
+    let sim_bits: Vec<u64> = (0..3).map(|_| t.step().sim_seconds.to_bits()).collect();
+    let b = t.breakdown();
+    let phase_bits =
+        [Phase::Sampling, Phase::UpdatePhi, Phase::SyncPhi].map(|p| b.seconds(p).to_bits());
+    let launches = t
+        .profile()
+        .summaries()
+        .into_iter()
+        .find(|s| s.name == "word_lda_sample")
+        .expect("word_lda_sample ran")
+        .launches;
     let zs = t.assignments();
-    fingerprint(zs.iter().map(Vec::as_slice))
+    (
+        fingerprint(zs.iter().map(Vec::as_slice)),
+        sim_bits,
+        phase_bits,
+        launches,
+    )
 }
 
 #[test]
 fn word_partitioned_run_is_pinned() {
-    let fp = run_word_policy();
-    print_golden(|| format!("word-policy fingerprint = {fp:#018x}"));
+    let (fp, sim_bits, phase_bits, launches) = run_word_policy();
+    print_golden(|| {
+        format!(
+            "word-policy fingerprint = {fp:#018x}, sim = {sim_bits:x?}, \
+             phases = {phase_bits:x?}, launches = {launches}"
+        )
+    });
     assert_eq!(
         fp, WORD_POLICY_FINGERPRINT,
         "word-policy assignment chain changed"
+    );
+    assert_eq!(
+        sim_bits, WORD_POLICY_SIM_SECONDS_BITS,
+        "word-policy modelled seconds changed"
+    );
+    assert_eq!(
+        phase_bits, WORD_POLICY_PHASE_BITS,
+        "word-policy Sampling/UpdatePhi/SyncPhi seconds changed"
+    );
+    assert_eq!(
+        launches, WORD_POLICY_SAMPLE_LAUNCHES,
+        "word_lda_sample launch count changed"
     );
 }
 
@@ -226,6 +258,14 @@ const K1024_SIM_SECONDS_BITS: [u64; 3] =
     [0x3f2061261b58a1f3, 0x3f1bc11c0d1230ee, 0x3f17eceec0eeee00];
 const K1024_SAMPLE_DRAM_BYTES: u64 = 103_219_918;
 const WORD_POLICY_FINGERPRINT: u64 = 0x2d0e2a17d356406a;
+// Captured on the separate word-policy trainer, before both policies ran
+// through one superstep engine; that merge must keep all four pins.
+const WORD_POLICY_SIM_SECONDS_BITS: [u64; 3] =
+    [0x3f09530a28681e68, 0x3f094624009d940c, 0x3f0944552eb2494c];
+// Sampling, UpdatePhi, SyncPhi (the θ + n_k sync under this policy).
+const WORD_POLICY_PHASE_BITS: [u64; 3] =
+    [0x3f0ddb61c5c57c3b, 0x3f06f0a0d1457f15, 0x3f16e30fd25c5a7a];
+const WORD_POLICY_SAMPLE_LAUNCHES: u32 = 6;
 // Captured on the two-trainer layout (a separate cluster trainer beside
 // the single-node one); the single superstep engine must keep all five.
 const CLUSTER_FINGERPRINT: u64 = 0xa943d24b602bfeb4;
