@@ -131,14 +131,16 @@ fn main() {
         cmp.phi_bytes, cmp.theta_bytes
     ));
     // Executable comparison: both trainers, same corpus and iterations.
-    let mut word_trainer = culda_multigpu::WordPartitionedTrainer::new(
+    let mut word_trainer = culda_multigpu::build_trainer(
+        culda_multigpu::PartitionPolicy::Word,
         &corpus,
         TrainerConfig::builder(k, Platform::pascal())
             .iterations(iters)
             .score_every(0)
             .build()
             .unwrap(),
-    );
+    )
+    .unwrap();
     let mut word_secs = 0.0;
     for _ in 0..iters {
         word_secs += word_trainer.step().sim_seconds;

@@ -168,7 +168,8 @@ training iteration (on `train`) or the batch ordinal (on `infer`).
 `--fault-plan launch:0:1` fails one GPU-0 kernel launch at iteration 1;
 the worker retries with exponential backoff and the run stays
 bit-identical to a fault-free one. `:permanent` makes a dead GPU whose
-chunks migrate to the survivors. Recovery metrics print after the run.
+chunks (or word range, under `--policy word`) migrate to the survivors;
+the run still trains the same model. Recovery metrics print after the run.
 
 Run-health telemetry on `train`: `--eval-every N` scores a held-out split
 (fraction `--eval-fraction`, default 0.1, drawn with `--eval-seed`)

@@ -27,7 +27,8 @@ impl ChunkSpec {
 }
 
 /// Partitions `corpus` into `c` chunks of consecutive documents with
-/// near-equal token counts (greedy prefix splitting at token quantiles).
+/// near-equal token counts (greedy prefix splitting at token quantiles,
+/// [`balanced_ranges`]).
 ///
 /// # Panics
 /// Panics if `c == 0` or `c` exceeds the number of documents (chunks may
@@ -39,47 +40,54 @@ pub fn partition_by_tokens(corpus: &Corpus, c: usize) -> Vec<ChunkSpec> {
         c <= d,
         "cannot split {d} documents into {c} non-empty chunks"
     );
-    let total = corpus.num_tokens();
-    let mut chunks = Vec::with_capacity(c);
-    let mut doc = 0usize;
+    let lens: Vec<u64> = corpus.docs.iter().map(|x| x.len() as u64).collect();
+    balanced_ranges(&lens, c)
+        .into_iter()
+        .enumerate()
+        .map(|(id, r)| ChunkSpec {
+            id,
+            tokens: lens[r.clone()].iter().sum(),
+            docs: r.start as u32..r.end as u32,
+        })
+        .collect()
+}
+
+/// Splits `0..weights.len()` into `parts` contiguous, non-empty ranges of
+/// near-equal total weight: range `i` ends once the running total reaches
+/// the `(i+1)/parts` quantile. Every range takes at least one item and
+/// leaves enough items for the ranges after it; any leftover items
+/// (possible when trailing weights are zero) go to the last range. The
+/// document chunks of [`partition_by_tokens`] and the word ranges of the
+/// partition-by-word policy are both cut this way.
+///
+/// Requires `0 < parts <= weights.len()`.
+pub fn balanced_ranges(weights: &[u64], parts: usize) -> Vec<Range<usize>> {
+    let n = weights.len();
+    let total: u64 = weights.iter().sum();
+    let mut ranges = Vec::with_capacity(parts);
+    let mut next = 0usize;
     let mut consumed = 0u64;
-    for i in 0..c {
-        let start = doc;
-        // Token budget boundary for the end of chunk i.
-        let boundary = total * (i as u64 + 1) / c as u64;
-        let mut tokens = 0u64;
-        // Always take at least one document, and leave enough documents for
-        // the remaining chunks.
-        let docs_remaining_after = |doc: usize| d - doc;
-        while doc < d {
-            let must_take = doc == start;
-            let must_stop = docs_remaining_after(doc) < c - i;
+    for i in 0..parts {
+        let start = next;
+        let boundary = total * (i as u64 + 1) / parts as u64;
+        while next < n {
+            let must_take = next == start;
+            let must_stop = n - next < parts - i;
             if !must_take && (must_stop || consumed >= boundary) {
                 break;
             }
-            let len = corpus.docs[doc].len() as u64;
-            tokens += len;
-            consumed += len;
-            doc += 1;
-            if must_take && docs_remaining_after(doc) < c - i {
+            consumed += weights[next];
+            next += 1;
+            if must_take && n - next < parts - i {
                 break;
             }
         }
-        chunks.push(ChunkSpec {
-            id: i,
-            docs: start as u32..doc as u32,
-            tokens,
-        });
+        ranges.push(start..next);
     }
-    // Any leftover documents (possible when trailing docs are empty) go to
-    // the last chunk.
-    if doc < d {
-        let last = chunks.last_mut().unwrap();
-        let extra: u64 = corpus.docs[doc..].iter().map(|x| x.len() as u64).sum();
-        last.docs.end = d as u32;
-        last.tokens += extra;
+    if next < n {
+        ranges.last_mut().unwrap().end = n;
     }
-    chunks
+    ranges
 }
 
 /// The naive alternative partition — equal *document* counts — kept for

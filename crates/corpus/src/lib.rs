@@ -35,7 +35,7 @@ pub mod synth;
 pub mod text;
 pub mod vocab;
 
-pub use chunk::{imbalance, partition_by_docs, partition_by_tokens, ChunkSpec};
+pub use chunk::{balanced_ranges, imbalance, partition_by_docs, partition_by_tokens, ChunkSpec};
 pub use csr::{CsrMatrix, MAX_COLS};
 pub use document::{Corpus, Document};
 pub use io::{read_uci, write_uci};

@@ -1,23 +1,22 @@
 //! The unified trainer surface.
 //!
-//! [`CuldaTrainer`](crate::CuldaTrainer) (partition-by-document, the
-//! paper's choice) and
-//! [`WordPartitionedTrainer`](crate::WordPartitionedTrainer) (the
-//! Section 4 alternative) grew near-duplicate accessor surfaces that every
-//! consumer — CLI, benches, checkpointing, and now serving — had to
-//! special-case. [`LdaTrainer`] is the one object-safe contract they both
-//! implement: stepping, scoring, phase accounting, observability
-//! attachment, and the assignment snapshot/restore pair that checkpoints
-//! are built from. Consumers hold a `Box<dyn LdaTrainer>` and stop caring
-//! which partition policy is underneath.
+//! Both Section 4 partition policies run on one engine, [`CuldaTrainer`]:
+//! partition-by-document (the paper's choice) and partition-by-word
+//! differ only in the layout chosen at construction, and a permanent GPU
+//! loss migrates a chunk or a word range alike. [`LdaTrainer`] is the
+//! object-safe contract every
+//! consumer — CLI, benches, checkpointing, serving — drives: stepping,
+//! scoring, phase accounting, observability attachment, and the
+//! assignment snapshot/restore pair that checkpoints are built from.
+//! Consumers hold a `Box<dyn LdaTrainer>` from [`build_trainer`] and stop
+//! caring which partition policy is underneath.
 
 use crate::config::{parse_mode, ModeParseError, TrainerConfig};
 use crate::error::{CuldaError, RecoveryStats};
 use crate::trainer::CuldaTrainer;
-use crate::word_trainer::WordPartitionedTrainer;
 use culda_gpusim::{FaultPlan, ProfileLog};
 use culda_metrics::{
-    Breakdown, GpuBreakdowns, IterationStat, MetricsRegistry, Phase, RunHistory, TraceSink,
+    Breakdown, GpuBreakdowns, IterationStat, MetricsRegistry, RunHistory, TraceSink,
 };
 use culda_sampler::PhiModel;
 use std::fmt;
@@ -29,7 +28,7 @@ use std::sync::Arc;
 pub enum PartitionPolicy {
     /// Partition-by-document (the paper's choice; ϕ replicas synced).
     Document,
-    /// Partition-by-word (θ replicas synced, ϕ columns private).
+    /// Partition-by-word (θ and `n_k` synced, ϕ rows private).
     Word,
 }
 
@@ -73,7 +72,7 @@ impl FromStr for PartitionPolicy {
     }
 }
 
-/// The trainer contract both partition policies implement.
+/// The trainer contract, for either partition policy.
 ///
 /// Object-safe on purpose: the CLI and benches drive a
 /// `Box<dyn LdaTrainer>` chosen at runtime by `--policy`. The assignment
@@ -156,7 +155,7 @@ pub trait LdaTrainer {
 
 impl LdaTrainer for CuldaTrainer {
     fn policy(&self) -> PartitionPolicy {
-        PartitionPolicy::Document
+        CuldaTrainer::policy(self)
     }
 
     fn config(&self) -> &TrainerConfig {
@@ -232,90 +231,6 @@ impl LdaTrainer for CuldaTrainer {
     }
 }
 
-impl LdaTrainer for WordPartitionedTrainer {
-    fn policy(&self) -> PartitionPolicy {
-        PartitionPolicy::Word
-    }
-
-    fn config(&self) -> &TrainerConfig {
-        WordPartitionedTrainer::config(self)
-    }
-
-    fn num_gpus(&self) -> usize {
-        WordPartitionedTrainer::num_gpus(self)
-    }
-
-    fn step(&mut self) -> IterationStat {
-        WordPartitionedTrainer::step(self)
-    }
-
-    fn try_step(&mut self) -> Result<IterationStat, CuldaError> {
-        WordPartitionedTrainer::try_step(self)
-    }
-
-    fn attach_fault_plan(&mut self, plan: Arc<FaultPlan>) {
-        WordPartitionedTrainer::attach_fault_plan(self, plan)
-    }
-
-    fn recovery(&self) -> RecoveryStats {
-        WordPartitionedTrainer::recovery(self)
-    }
-
-    fn history(&self) -> &RunHistory {
-        WordPartitionedTrainer::history(self)
-    }
-
-    fn breakdown(&self) -> Breakdown {
-        // System view: per-GPU sampling/ϕ-rebuild time plus the shared θ
-        // sync phase (this policy's analogue of the ϕ sync).
-        let mut b = self.per_gpu_breakdowns().merged();
-        if self.theta_sync_seconds > 0.0 {
-            b.add(Phase::SyncPhi, self.theta_sync_seconds);
-        }
-        b
-    }
-
-    fn per_gpu_breakdowns(&self) -> GpuBreakdowns {
-        WordPartitionedTrainer::per_gpu_breakdowns(self)
-    }
-
-    fn profile(&self) -> ProfileLog {
-        WordPartitionedTrainer::profile(self)
-    }
-
-    fn attach_observability(
-        &mut self,
-        trace: Option<Arc<TraceSink>>,
-        metrics: Option<Arc<MetricsRegistry>>,
-    ) {
-        WordPartitionedTrainer::attach_observability(self, trace, metrics)
-    }
-
-    fn loglik_per_token(&self) -> f64 {
-        WordPartitionedTrainer::loglik_per_token(self)
-    }
-
-    fn check_invariants(&self) {
-        WordPartitionedTrainer::check_invariants(self)
-    }
-
-    fn phi(&self) -> &PhiModel {
-        WordPartitionedTrainer::phi(self)
-    }
-
-    fn iterations_done(&self) -> u32 {
-        WordPartitionedTrainer::iterations_done(self)
-    }
-
-    fn assignments(&self) -> Vec<Vec<u16>> {
-        WordPartitionedTrainer::assignments(self)
-    }
-
-    fn restore_assignments(&mut self, iteration: u32, z: &[Vec<u16>]) -> Result<(), String> {
-        WordPartitionedTrainer::restore_assignments(self, iteration, z)
-    }
-}
-
 /// Constructs the chosen policy's trainer behind the unified surface —
 /// the single entry point every consumer (CLI, benches, serving, tests)
 /// uses. Configuration and corpus-shape problems surface as
@@ -325,16 +240,9 @@ pub fn build_trainer(
     corpus: &culda_corpus::Corpus,
     cfg: TrainerConfig,
 ) -> Result<Box<dyn LdaTrainer>, CuldaError> {
-    Ok(match policy {
-        PartitionPolicy::Document => Box::new(CuldaTrainer::try_new(corpus, cfg)?),
-        PartitionPolicy::Word if cfg.nodes > 1 => {
-            return Err(CuldaError::Invalid(format!(
-                "multi-node training requires --policy doc (got {} nodes with --policy word)",
-                cfg.nodes
-            )));
-        }
-        PartitionPolicy::Word => Box::new(WordPartitionedTrainer::try_new(corpus, cfg)?),
-    })
+    Ok(Box::new(CuldaTrainer::try_with_policy(
+        policy, corpus, cfg,
+    )?))
 }
 
 #[cfg(test)]

@@ -12,7 +12,9 @@
 //! (`TrainerConfig::nodes`): AD-LDA one level up, each node's summed ϕ
 //! merged over the inter-node link as one sparse Δϕ payload
 //! ([`sync::reduce_payloads`]), with per-worker retry, rebalance and node
-//! drain at every node count.
+//! drain at every node count. Its superstep also runs the Section 4
+//! alternative, partition-by-word ([`build_trainer`] with
+//! [`PartitionPolicy::Word`]), through the same loop.
 
 //! ```
 //! use culda_corpus::SynthSpec;
@@ -36,13 +38,14 @@ pub mod api;
 pub mod config;
 pub mod delta;
 pub mod error;
+mod layout;
 pub mod partition;
 pub mod policy;
 pub mod resume;
 pub mod schedule;
 pub mod sync;
 pub mod trainer;
-pub mod word_trainer;
+mod word;
 pub mod worker;
 
 pub use api::{build_trainer, LdaTrainer, PartitionPolicy};
@@ -54,11 +57,10 @@ pub use delta::{dense_cutover, row_encoding, DeltaPayload, RowFormat};
 pub use error::{CuldaError, RecoveryStats};
 pub use partition::PartitionedCorpus;
 pub use policy::{compare_policies, compare_policies_analytic, PolicyComparison};
-pub use resume::{resume_any, resume_training, resume_word_training, save_training};
+pub use resume::{resume_any, resume_training, save_training};
 pub use schedule::{chunk_owner, plan_partition, MemoryPlan};
 pub use sync::{
     sync_phi_auto, sync_phi_delta, sync_phi_replicas, sync_phi_ring, SyncReport, SyncTotals,
 };
 pub use trainer::{CuldaTrainer, TrainOutcome};
-pub use word_trainer::WordPartitionedTrainer;
 pub use worker::{run_workers, run_workers_traced, GpuWorker};

@@ -16,11 +16,10 @@
 //! token count (u64) and the u16 assignments. Version-1 checkpoints had
 //! no policy tag and are read as partition-by-document.
 
-use crate::api::{LdaTrainer, PartitionPolicy};
+use crate::api::{build_trainer, LdaTrainer, PartitionPolicy};
 use crate::config::TrainerConfig;
 use crate::error::CuldaError;
 use crate::trainer::CuldaTrainer;
-use crate::word_trainer::WordPartitionedTrainer;
 use culda_corpus::Corpus;
 use std::io::{self, Read, Write};
 
@@ -61,11 +60,7 @@ fn policy_tag(policy: PartitionPolicy) -> u32 {
 /// Serializes the resumable state of either policy's trainer: policy tag,
 /// config identity (seed, K, shard count), the iteration counter, and
 /// each chunk/shard's assignments.
-pub fn save_training<W: Write>(trainer: &dyn LdaTrainer, out: W) -> Result<(), CuldaError> {
-    Ok(save_training_io(trainer, out)?)
-}
-
-fn save_training_io<W: Write>(trainer: &dyn LdaTrainer, mut out: W) -> io::Result<()> {
+pub fn save_training<W: Write>(trainer: &dyn LdaTrainer, mut out: W) -> Result<(), CuldaError> {
     out.write_all(MAGIC)?;
     w32(&mut out, VERSION)?;
     w32(&mut out, policy_tag(trainer.policy()))?;
@@ -122,14 +117,14 @@ fn read_header<R: Read>(input: &mut R) -> io::Result<Header> {
     })
 }
 
-/// Shared resume back-end: validates the header against `cfg` and the
-/// freshly constructed `trainer`, reads the payload, and restores.
-fn resume_into<T: LdaTrainer, R: Read>(
-    mut trainer: T,
+/// Shared resume back-end: validates the parsed `header` against `cfg`
+/// and the freshly constructed `trainer`, reads the payload, and restores.
+fn resume_into<R: Read>(
+    trainer: &mut dyn LdaTrainer,
+    header: Header,
     cfg: &TrainerConfig,
     mut input: R,
-) -> io::Result<T> {
-    let header = read_header(&mut input)?;
+) -> io::Result<()> {
     if header.policy != trainer.policy() {
         return Err(invalid(format!(
             "checkpoint was taken with the {} policy, resuming as {}",
@@ -180,8 +175,7 @@ fn resume_into<T: LdaTrainer, R: Read>(
     }
     trainer
         .restore_assignments(header.iteration, &all_z)
-        .map_err(invalid)?;
-    Ok(trainer)
+        .map_err(invalid)
 }
 
 /// Rebuilds a partition-by-document trainer from `corpus` + `cfg` and a
@@ -194,60 +188,25 @@ fn resume_into<T: LdaTrainer, R: Read>(
 pub fn resume_training<R: Read>(
     corpus: &Corpus,
     cfg: TrainerConfig,
-    input: R,
+    mut input: R,
 ) -> Result<CuldaTrainer, CuldaError> {
-    let trainer = CuldaTrainer::try_new(corpus, cfg.clone())?;
-    Ok(resume_into(trainer, &cfg, input)?)
-}
-
-/// Rebuilds a partition-by-word trainer from a [`save_training`]
-/// checkpoint; the word-policy counterpart of [`resume_training`].
-pub fn resume_word_training<R: Read>(
-    corpus: &Corpus,
-    cfg: TrainerConfig,
-    input: R,
-) -> Result<WordPartitionedTrainer, CuldaError> {
-    let trainer = WordPartitionedTrainer::try_new(corpus, cfg.clone())?;
-    Ok(resume_into(trainer, &cfg, input)?)
+    let header = read_header(&mut input)?;
+    let mut trainer = CuldaTrainer::try_new(corpus, cfg.clone())?;
+    resume_into(&mut trainer, header, &cfg, input)?;
+    Ok(trainer)
 }
 
 /// Policy-dispatching resume: reads the tag from the checkpoint itself
-/// and rebuilds the matching trainer behind the [`LdaTrainer`] surface.
+/// and rebuilds that policy's trainer behind the [`LdaTrainer`] surface.
 pub fn resume_any<R: Read>(
     corpus: &Corpus,
     cfg: TrainerConfig,
     mut input: R,
 ) -> Result<Box<dyn LdaTrainer>, CuldaError> {
-    // Peek the header by buffering it, then replay for the typed path.
-    let mut head = vec![0u8; 16];
-    input.read_exact(&mut head).map_err(CuldaError::from)?;
-    let mut cursor = io::Cursor::new(&head);
-    let mut magic = [0u8; 8];
-    cursor.read_exact(&mut magic).map_err(CuldaError::from)?;
-    if &magic != MAGIC {
-        return Err(CuldaError::Checkpoint(
-            "not a CuLDA training checkpoint".into(),
-        ));
-    }
-    let version = r32(&mut cursor).map_err(CuldaError::from)?;
-    let policy = match version {
-        1 => PartitionPolicy::Document,
-        2 => match r32(&mut cursor).map_err(CuldaError::from)? {
-            0 => PartitionPolicy::Document,
-            1 => PartitionPolicy::Word,
-            tag => return Err(CuldaError::Checkpoint(format!("unknown policy tag {tag}"))),
-        },
-        v => {
-            return Err(CuldaError::Checkpoint(format!(
-                "unsupported checkpoint version {v}"
-            )))
-        }
-    };
-    let replay = io::Cursor::new(head).chain(input);
-    Ok(match policy {
-        PartitionPolicy::Document => Box::new(resume_training(corpus, cfg, replay)?),
-        PartitionPolicy::Word => Box::new(resume_word_training(corpus, cfg, replay)?),
-    })
+    let header = read_header(&mut input)?;
+    let mut trainer = build_trainer(header.policy, corpus, cfg.clone())?;
+    resume_into(trainer.as_mut(), header, &cfg, input)?;
+    Ok(trainer)
 }
 
 #[cfg(test)]
@@ -338,19 +297,23 @@ mod tests {
         assert!((straight.loglik_per_token() - resumed.loglik_per_token()).abs() < 1e-12);
     }
 
+    fn by_word(c: &Corpus) -> Box<dyn LdaTrainer> {
+        build_trainer(PartitionPolicy::Word, c, multi_gpu_cfg()).unwrap()
+    }
+
     #[test]
     fn word_trainer_resume_is_bit_identical_to_straight_training() {
         let c = corpus();
-        let mut straight = WordPartitionedTrainer::new(&c, multi_gpu_cfg());
+        let mut straight = by_word(&c);
         for _ in 0..5 {
             straight.step();
         }
-        let mut first = WordPartitionedTrainer::new(&c, multi_gpu_cfg());
+        let mut first = by_word(&c);
         first.step();
         first.step();
         let mut buf = Vec::new();
-        save_training(&first, &mut buf).unwrap();
-        let mut resumed = resume_word_training(&c, multi_gpu_cfg(), buf.as_slice()).unwrap();
+        save_training(first.as_ref(), &mut buf).unwrap();
+        let mut resumed = resume_any(&c, multi_gpu_cfg(), buf.as_slice()).unwrap();
         for _ in 0..3 {
             resumed.step();
         }
@@ -366,7 +329,7 @@ mod tests {
     fn resume_any_dispatches_on_the_policy_tag() {
         let c = corpus();
         for policy in [PartitionPolicy::Document, PartitionPolicy::Word] {
-            let mut t = crate::api::build_trainer(policy, &c, multi_gpu_cfg()).unwrap();
+            let mut t = build_trainer(policy, &c, multi_gpu_cfg()).unwrap();
             t.step();
             let mut buf = Vec::new();
             save_training(t.as_ref(), &mut buf).unwrap();
@@ -380,10 +343,10 @@ mod tests {
     #[test]
     fn cross_policy_resume_is_rejected() {
         let c = corpus();
-        let mut word = WordPartitionedTrainer::new(&c, multi_gpu_cfg());
+        let mut word = by_word(&c);
         word.step();
         let mut buf = Vec::new();
-        save_training(&word, &mut buf).unwrap();
+        save_training(word.as_ref(), &mut buf).unwrap();
         assert!(resume_training(&c, multi_gpu_cfg(), buf.as_slice()).is_err());
     }
 

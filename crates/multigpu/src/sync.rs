@@ -87,11 +87,7 @@ impl SyncReport {
     /// How many× fewer bytes moved than the dense tree would have
     /// (`1.0` for the dense modes themselves; `≥ 1` is a win).
     pub fn compression_ratio(&self) -> f64 {
-        if self.bytes_moved == 0 {
-            1.0
-        } else {
-            self.dense_bytes as f64 / self.bytes_moved as f64
-        }
+        compression_ratio(self.dense_bytes, self.bytes_moved)
     }
 }
 
@@ -120,11 +116,16 @@ impl SyncTotals {
 
     /// Run-level dense-vs-actual byte ratio (`≥ 1` is a win).
     pub fn compression_ratio(&self) -> f64 {
-        if self.bytes_moved == 0 {
-            1.0
-        } else {
-            self.dense_bytes as f64 / self.bytes_moved as f64
-        }
+        compression_ratio(self.dense_bytes, self.bytes_moved)
+    }
+}
+
+/// Dense-baseline bytes over bytes moved; `1.0` when nothing moved.
+fn compression_ratio(dense_bytes: u64, bytes_moved: u64) -> f64 {
+    if bytes_moved == 0 {
+        1.0
+    } else {
+        dense_bytes as f64 / bytes_moved as f64
     }
 }
 
@@ -225,41 +226,20 @@ pub fn sync_phi_replicas(
     assert!(!replicas.is_empty(), "no replicas to synchronize");
     let g = replicas.len();
     let elements = replica_elements(replicas[0]);
-
-    // --- Reduce: pairwise tree onto replica 0 ---------------------------
-    let mut stride = 1usize;
-    while stride < g {
-        // All (receiver = i, sender = i + stride) pairs with i on a 2·stride
-        // grid run concurrently; the level costs one transfer + one add.
-        let mut i = 0;
-        while i + stride < g {
-            replicas[i].add_from(replicas[i + stride]);
-            i += 2 * stride;
-        }
-        stride *= 2;
-    }
-
-    // --- Broadcast: replica 0 back out, reverse tree --------------------
-    if g > 1 {
-        let mut stride = 1usize;
-        while stride < g {
-            stride *= 2;
-        }
-        stride /= 2;
-        while stride >= 1 {
-            let mut i = 0;
-            while i + stride < g {
-                replicas[i + stride].copy_from(replicas[i]);
-                i += 2 * stride;
-            }
-            if stride == 1 {
-                break;
-            }
-            stride /= 2;
-        }
-    }
-
+    sum_into_all(replicas);
     dense_tree_report(g, elements, gpu, link, cfg.phi_elem_bytes())
+}
+
+/// Sums every replica into replica 0 and copies the sum back out: the
+/// data movement of both dense syncs. Integer adds commute, so the tree's
+/// and the ring's orders reach these same totals; only time differs.
+fn sum_into_all(replicas: &[&PhiModel]) {
+    for r in &replicas[1..] {
+        replicas[0].add_from(r);
+    }
+    for r in &replicas[1..] {
+        r.copy_from(replicas[0]);
+    }
 }
 
 /// Ring all-reduce alternative to the Figure 4 tree (extension).
@@ -280,14 +260,7 @@ pub fn sync_phi_ring(
     assert!(!replicas.is_empty(), "no replicas to synchronize");
     let g = replicas.len();
     let elements = replica_elements(replicas[0]);
-    // Data movement: same result as the tree — sum everything into every
-    // replica (the ring's chunked passes commute to the same totals).
-    for i in 1..g {
-        replicas[0].add_from(replicas[i]);
-    }
-    for i in 1..g {
-        replicas[i].copy_from(replicas[0]);
-    }
+    sum_into_all(replicas);
     dense_ring_report(g, elements, gpu, link, cfg.phi_elem_bytes())
 }
 
@@ -406,12 +379,18 @@ pub fn sync_phi_delta(
     cfg: &TrainerConfig,
 ) -> SyncReport {
     let (global, report) = plan_phi_delta(replicas, deltas, gpu, link, cfg);
+    apply_payload(&global, replicas);
+    report
+}
+
+/// Stores the merged global payload into every replica (a lone replica
+/// already holds the sum).
+fn apply_payload(global: &DeltaPayload, replicas: &[&PhiModel]) {
     if replicas.len() > 1 {
         for r in replicas {
             global.apply_to(r);
         }
     }
-    report
 }
 
 /// Models all three strategies for this iteration — the dense modes from
@@ -437,11 +416,7 @@ pub fn sync_phi_auto(
 
     let delta_s = delta.total_seconds();
     if delta_s <= tree.total_seconds() && delta_s <= ring.total_seconds() {
-        if g > 1 {
-            for r in replicas {
-                global.apply_to(r);
-            }
-        }
+        apply_payload(&global, replicas);
         delta
     } else if ring.total_seconds() <= tree.total_seconds() {
         sync_phi_ring(replicas, gpu, link, cfg)

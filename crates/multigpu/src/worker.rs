@@ -1,18 +1,20 @@
 //! The per-GPU worker: one simulated device plus everything it owns.
 //!
 //! Algorithm 1 is "every GPU runs its iteration body independently; the
-//! host joins them at the ϕ synchronization". A [`GpuWorker`] is that
-//! per-GPU half: the device, the chunks assigned to it (round-robin, see
-//! [`crate::schedule::chunk_owner`]), their assignment states and block
-//! maps, and the double-buffered ϕ replicas. [`GpuWorker::run_iteration`]
-//! is the iteration body — it builds the [`ChunkTask`]s and submits an
-//! [`IterationPlan`] through the device's [`KernelSet`] — and
-//! [`run_workers`] fans the bodies out over real host threads with a
-//! deterministic device-order join.
+//! host joins them at the synchronization". A [`GpuWorker`] is that
+//! per-GPU half: the device, the units dealt to it (document chunks
+//! round-robin, see [`crate::schedule::chunk_owner`], or word ranges),
+//! their assignment states and block maps, and — under
+//! partition-by-document — the double-buffered ϕ replicas.
+//! [`GpuWorker::try_run_iteration`] is the document-partitioned iteration
+//! body — it builds the [`ChunkTask`]s and submits an [`IterationPlan`]
+//! through the device's [`KernelSet`] — and [`run_workers`] fans the
+//! bodies out over real host threads with a deterministic device-order
+//! join.
 //!
 //! Results are bit-identical whether the bodies run sequentially or
 //! concurrently: the sampler RNG streams are keyed by global token index,
-//! every kernel reads only the previous iteration's ϕ snapshot, and each
+//! every kernel reads only the previous iteration's snapshot, and each
 //! worker mutates only state it owns.
 
 use crate::config::TrainerConfig;
@@ -22,8 +24,7 @@ use culda_corpus::CsrMatrix;
 use culda_gpusim::{Device, FaultKind, Link, SimFault};
 use culda_metrics::{Breakdown, Json, Phase, TraceSink, H2D_TID_BASE, SIM_PID, STAGE_TID_BASE};
 use culda_sampler::{
-    BlockWork, ChunkState, ChunkTask, IterationPlan, KernelSet, PhiDelta, PhiModel, PlanReport,
-    SampleConfig,
+    BlockWork, ChunkState, ChunkTask, IterationPlan, KernelSet, PhiModel, PlanReport, SampleConfig,
 };
 
 /// A pre-iteration copy of one chunk's mutable state (`z` + θ), taken only
@@ -37,14 +38,17 @@ pub type StateSnapshot = (Vec<u16>, CsrMatrix);
 pub struct GpuWorker {
     /// The simulated device this worker drives.
     pub device: Device,
-    /// Global chunk ids owned, ascending (`id, id + G, id + 2G, …`).
+    /// Global unit ids owned: document chunks (`id, id + G, id + 2G, …`)
+    /// or, under partition-by-word, word ranges.
     pub chunk_ids: Vec<usize>,
-    /// Assignment state per owned chunk, parallel to `chunk_ids`.
+    /// Assignment state per owned unit, parallel to `chunk_ids` (a word
+    /// range's θ is empty: that policy keeps one global θ).
     pub states: Vec<ChunkState>,
-    /// Sampling/ϕ block map per owned chunk, parallel to `chunk_ids`.
+    /// Sampling/ϕ block map per owned unit, parallel to `chunk_ids`
+    /// (empty for word ranges).
     pub block_maps: Vec<Vec<BlockWork>>,
     /// The ϕ read replica (previous iteration's global snapshot).
-    /// `None` for policies that never replicate ϕ (partition-by-word).
+    /// `None` where ϕ is not replicated (partition-by-word, serving).
     pub read_phi: Option<PhiModel>,
     /// The ϕ write replica (this iteration's local counts). `None` when
     /// `read_phi` is.
@@ -52,7 +56,7 @@ pub struct GpuWorker {
     /// This GPU's own phase account (per-GPU Table 5 attribution).
     pub breakdown: Breakdown,
     /// False once the worker exhausted its retry budget on a permanent
-    /// fault: its chunks have been migrated and it takes no further part
+    /// fault: its units have been migrated and it takes no further part
     /// in the run (no iteration body, no sync, no replica swap).
     pub alive: bool,
 }
@@ -61,20 +65,15 @@ impl GpuWorker {
     /// A worker with its ϕ replica pair and no chunks yet.
     pub fn new(device: Device, read_phi: PhiModel, write_phi: PhiModel) -> Self {
         Self {
-            device,
-            chunk_ids: Vec::new(),
-            states: Vec::new(),
-            block_maps: Vec::new(),
             read_phi: Some(read_phi),
             write_phi: Some(write_phi),
-            breakdown: Breakdown::new(),
-            alive: true,
+            ..Self::without_replicas(device)
         }
     }
 
-    /// A worker for policies whose ϕ is never replicated or synchronized
-    /// (partition-by-word keeps its ϕ columns private): no replica pair,
-    /// and the chunk payload stays empty.
+    /// A worker for work that never replicates ϕ (partition-by-word keeps
+    /// one global ϕ; serving reads a frozen one): no replica pair, and no
+    /// chunks yet.
     pub fn without_replicas(device: Device) -> Self {
         Self {
             device,
@@ -102,18 +101,6 @@ impl GpuWorker {
     /// Panics on a replica-less worker (see [`Self::without_replicas`]).
     pub fn write_replica(&self) -> &PhiModel {
         self.write_phi.as_ref().expect("worker has no ϕ replicas")
-    }
-
-    /// The rows this iteration's ϕ updates touched — the write replica's
-    /// own dirty bitmap (feeds the sparse Δϕ sync). Because it lives
-    /// *inside* the replica's count storage and resets with the replica
-    /// clear at the top of every plan, it can never disagree with the
-    /// counts after a retried iteration.
-    ///
-    /// # Panics
-    /// Panics on a replica-less worker (see [`Self::without_replicas`]).
-    pub fn delta(&self) -> &PhiDelta {
-        self.write_replica().phi.dirty()
     }
 
     /// Assigns a chunk (by global id) to this worker.
@@ -164,14 +151,6 @@ impl GpuWorker {
         }
     }
 
-    /// The state of an owned chunk, by *global* chunk id.
-    pub fn state_for(&self, global_id: usize) -> Option<&ChunkState> {
-        self.chunk_ids
-            .iter()
-            .position(|&gi| gi == global_id)
-            .map(|local| &self.states[local])
-    }
-
     /// Swaps the ϕ replica pair: the freshly-summed write replica becomes
     /// the next iteration's read snapshot.
     pub fn swap_replicas(&mut self) {
@@ -184,23 +163,7 @@ impl GpuWorker {
     /// Updates the per-GPU breakdown and returns the plan report (the
     /// trainer needs `phi_done_at` to start the sync).
     ///
-    /// Panics on a simulated fault; resilient callers use
-    /// [`Self::try_run_iteration`].
-    pub fn run_iteration(
-        &mut self,
-        part: &PartitionedCorpus,
-        cfg: &TrainerConfig,
-        plan: IterationPlan,
-        iteration: u32,
-        host_link: &Link,
-        sparse: bool,
-    ) -> PlanReport {
-        self.try_run_iteration(part, cfg, plan, iteration, host_link, sparse)
-            .unwrap_or_else(|f| panic!("unrecoverable simulated fault: {f}"))
-    }
-
-    /// Fallible iteration body. On a fault the error is surfaced and the
-    /// breakdown is left untouched; chunk state may be mid-iteration (some
+    /// On a fault the error is surfaced and the breakdown is left untouched; chunk state may be mid-iteration (some
     /// θ rebuilds already committed), so a retrying caller must restore a
     /// [`Self::snapshot_states`] copy first.
     pub fn try_run_iteration(
@@ -247,16 +210,7 @@ impl GpuWorker {
                     chunk: &part.chunks[gi],
                     state,
                     block_map,
-                    sample_cfg: SampleConfig {
-                        seed: cfg.seed,
-                        iteration,
-                        chunk_token_offset: part.token_offsets[gi],
-                        compressed: cfg.compressed,
-                        use_shared_memory: cfg.use_shared_memory,
-                        use_l1_for_indices: cfg.use_l1_for_indices,
-                        sparse,
-                        draw: cfg.draw_mode,
-                    },
+                    sample_cfg: sample_config(part, cfg, gi, iteration, sparse),
                     h2d_seconds,
                     d2h_seconds,
                 }
@@ -299,16 +253,7 @@ impl GpuWorker {
             let state = &mut self.states[li];
             let block_map = &self.block_maps[li];
             if !block_map.is_empty() {
-                let sample_cfg = SampleConfig {
-                    seed: cfg.seed,
-                    iteration,
-                    chunk_token_offset: part.token_offsets[gi],
-                    compressed: cfg.compressed,
-                    use_shared_memory: cfg.use_shared_memory,
-                    use_l1_for_indices: cfg.use_l1_for_indices,
-                    sparse,
-                    draw: cfg.draw_mode,
-                };
+                let sample_cfg = sample_config(part, cfg, gi, iteration, sparse);
                 let r = kernels.try_sample(
                     &part.chunks[gi],
                     state,
@@ -341,6 +286,26 @@ impl GpuWorker {
             .filter(|(_, bm)| !bm.is_empty())
             .map(|(&gi, _)| gi)
             .collect()
+    }
+}
+
+/// The sampling kernel's configuration for global chunk `gi`.
+fn sample_config(
+    part: &PartitionedCorpus,
+    cfg: &TrainerConfig,
+    gi: usize,
+    iteration: u32,
+    sparse: bool,
+) -> SampleConfig {
+    SampleConfig {
+        seed: cfg.seed,
+        iteration,
+        chunk_token_offset: part.token_offsets[gi],
+        compressed: cfg.compressed,
+        use_shared_memory: cfg.use_shared_memory,
+        use_l1_for_indices: cfg.use_l1_for_indices,
+        sparse,
+        draw: cfg.draw_mode,
     }
 }
 
@@ -593,14 +558,16 @@ mod tests {
         );
         w.read_replica().copy_from(&read);
         w.push_chunk(0, state, map.clone());
-        let report = w.run_iteration(
-            &part,
-            &cfg,
-            IterationPlan::resident(cfg.num_topics),
-            0,
-            &Link::pcie3(),
-            false,
-        );
+        let report = w
+            .try_run_iteration(
+                &part,
+                &cfg,
+                IterationPlan::resident(cfg.num_topics),
+                0,
+                &Link::pcie3(),
+                false,
+            )
+            .unwrap();
         assert_eq!(w.states[0].z.snapshot(), ref_state.z.snapshot());
         assert_eq!(w.write_replica().phi.snapshot(), ref_write.phi.snapshot());
         assert!((w.device.now() - ref_dev.now()).abs() < 1e-15);
@@ -616,15 +583,18 @@ mod tests {
     }
 
     #[test]
-    fn state_lookup_is_by_global_id() {
+    fn chunks_are_tracked_by_global_id() {
         let mut w = bare_workers(1).pop().unwrap();
         use culda_corpus::{partition_by_tokens, SortedChunk, SynthSpec};
         let corpus = SynthSpec::tiny().generate();
         let chunks = partition_by_tokens(&corpus, 2);
         let sorted = SortedChunk::build(&corpus, &chunks[0]);
         w.push_chunk(5, ChunkState::init_random(&sorted, 8, 1), Vec::new());
-        assert!(w.state_for(5).is_some());
-        assert!(w.state_for(0).is_none());
+        assert_eq!(w.chunk_ids, vec![5]);
         assert_eq!(w.num_chunks(), 1);
+        let drained = w.drain_chunks();
+        assert_eq!(drained.len(), 1);
+        assert_eq!(drained[0].0, 5);
+        assert_eq!(w.num_chunks(), 0);
     }
 }

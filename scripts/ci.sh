@@ -25,12 +25,18 @@ cargo test -q --test inference fold_in_golden
 cargo test -q --test inference fold_in_matches_dense_perplexity
 cargo test -q -p culda-sampler --lib three_bucket_draw_matches_exact_conditional
 
-echo "==> sampling golden and run-reuse oracle"
+echo "==> sampling goldens and run-reuse oracle"
 # The K = 1024 auto-mode run's z fingerprint, per-iteration modelled
 # seconds and lda_sample DRAM bytes are pinned; the host's per-(word,
 # document) p1 prefix reuse must reproduce the per-token oracle in every
-# draw mode and memory configuration.
+# draw mode and memory configuration. The partition-by-word run (z,
+# per-iteration seconds, Sampling/UpdatePhi/SyncPhi totals, sample
+# launches) and the 2-node out-of-core cluster run are pinned the same
+# way, so both policies and the node level share one superstep engine
+# without drifting.
 cargo test -q --test golden k1024_auto_modes_run_is_pinned
+cargo test -q --test golden word_partitioned_run_is_pinned
+cargo test -q --test golden cluster_run_is_pinned
 cargo test -q -p culda-sampler --lib run_reuse_matches_the_per_token_oracle
 
 echo "==> perfbench self-tests"
@@ -121,6 +127,25 @@ cargo run --release -q -p culda-cli -- train --docword "$smoke/c.dw" \
     --fault-plan launch:0:1 | tee "$smoke/nodes-fault.log"
 grep -q '1 retry(s)' "$smoke/nodes-fault.log"
 cmp "$smoke/n.phi" "$smoke/nf.phi"
+
+echo "==> word-policy fault smoke test"
+# Partition-by-word runs the same failure domain: a transient launch
+# fault retries, and a permanent one migrates the lost GPU's word range
+# to the survivor; both exit 0 and train the exact clean word model.
+cargo run --release -q -p culda-cli -- train --docword "$smoke/c.dw" \
+    --vocab "$smoke/c.v" --model "$smoke/w.phi" --topics 8 --iters 3 \
+    --score-every 0 --platform pascal --gpus 2 --policy word
+cargo run --release -q -p culda-cli -- train --docword "$smoke/c.dw" \
+    --vocab "$smoke/c.v" --model "$smoke/wf.phi" --topics 8 --iters 3 \
+    --score-every 0 --platform pascal --gpus 2 --policy word \
+    --fault-plan launch:0:1 | tee "$smoke/word-fault.log"
+grep -q '1 retry(s)' "$smoke/word-fault.log"
+cmp "$smoke/w.phi" "$smoke/wf.phi"
+cargo run --release -q -p culda-cli -- train --docword "$smoke/c.dw" \
+    --vocab "$smoke/c.v" --model "$smoke/wp.phi" --topics 8 --iters 3 \
+    --score-every 0 --platform pascal --gpus 2 --policy word \
+    --fault-plan launch:0:1:permanent
+cmp "$smoke/w.phi" "$smoke/wp.phi"
 
 echo "==> telemetry smoke test (eval, snapshots, report, openmetrics)"
 # A telemetry-laden run must stream parseable snapshots, export a lintable

@@ -9,14 +9,15 @@
 //! faults over every (kind, device, iteration) coordinate on 1, 2 and 4
 //! nodes and pin bit-identity of the final ϕ, then exercise the
 //! permanent-loss rebalance path — and the drain of a whole node — with
-//! the trace/metrics sinks attached.
+//! the trace/metrics sinks attached. Partition-by-word runs the same
+//! superstep, so it joins both sweeps: a word range migrates like a
+//! chunk.
 
 use culda::corpus::{Corpus, SynthSpec};
 use culda::gpusim::{FaultKind, FaultPlan, FaultSpec, Platform};
 use culda::metrics::{MetricsRegistry, TraceSink};
 use culda::multigpu::{
-    build_trainer, CuldaError, CuldaTrainer, PartitionPolicy, SyncMode, TrainerConfig,
-    WordPartitionedTrainer,
+    build_trainer, CuldaError, CuldaTrainer, LdaTrainer, PartitionPolicy, SyncMode, TrainerConfig,
 };
 use culda::sampler::PhiModel;
 use std::sync::Arc;
@@ -60,6 +61,30 @@ fn cfg_on(nodes: usize) -> TrainerConfig {
 
 const NODE_COUNTS: [usize; 3] = [1, 2, 4];
 
+/// `gpus` GPUs on one node: the partition-by-word layout, one word range
+/// per GPU.
+fn word_cfg(gpus: usize) -> TrainerConfig {
+    TrainerConfig::builder(K, Platform::pascal().with_gpus(gpus))
+        .iterations(ITERS)
+        .score_every(0)
+        .seed(17)
+        .build()
+        .expect("valid config")
+}
+
+/// Trains a partition-by-word run for `ITERS` supersteps under `plan`.
+fn train_by_word(c: &Corpus, gpus: usize, plan: Option<Arc<FaultPlan>>) -> CuldaTrainer {
+    let mut t = CuldaTrainer::try_with_policy(PartitionPolicy::Word, c, word_cfg(gpus))
+        .expect("trainer builds");
+    if let Some(p) = plan {
+        t.attach_fault_plan(p);
+    }
+    for _ in 0..ITERS {
+        t.try_step().expect("recoverable run");
+    }
+    t
+}
+
 fn phi_counts(phi: &PhiModel) -> Vec<u32> {
     (0..phi.phi.len()).map(|i| phi.phi.load(i)).collect()
 }
@@ -101,6 +126,33 @@ fn any_single_transient_fault_is_bit_identical_to_fault_free() {
                     assert_eq!(rec.workers_lost, 0, "{at}");
                     assert_eq!(phi_counts(t.global_phi()), want_phi, "{at} changed ϕ");
                     assert!((t.loglik_per_token() - want_ll).abs() < 1e-12, "{at}");
+                }
+            }
+        }
+    }
+
+    // The word policy runs the same retry loop. It never stages, so
+    // there is no `drop` coordinate.
+    for gpus in [2, 4] {
+        let reference = train_by_word(&c, gpus, None);
+        for kind in [FaultKind::KernelLaunch, FaultKind::MemoryCorruption] {
+            for device in 0..gpus {
+                for iteration in 0..ITERS {
+                    let at = format!("word policy, {kind:?} at ({device}, {iteration}) of {gpus}");
+                    let plan = Arc::new(FaultPlan::from_specs(vec![FaultSpec::new(
+                        kind, device, iteration,
+                    )]));
+                    let t = train_by_word(&c, gpus, Some(Arc::clone(&plan)));
+                    let rec = t.recovery();
+                    assert_eq!(plan.injected(), 1, "{at} never fired");
+                    assert_eq!(rec.retries, 1, "{at}");
+                    assert_eq!(rec.workers_lost, 0, "{at}");
+                    assert_eq!(t.assignments(), reference.assignments(), "{at} changed z");
+                    assert_eq!(
+                        phi_counts(t.global_phi()),
+                        phi_counts(reference.global_phi()),
+                        "{at} changed ϕ"
+                    );
                 }
             }
         }
@@ -279,44 +331,53 @@ fn exhausted_retries_surface_as_worker_lost_not_panic() {
 }
 
 #[test]
-fn word_policy_retries_transients_and_fails_cleanly_on_permanent_loss() {
+fn word_policy_rebalances_a_lost_gpu_bit_identically() {
+    // A word range is a unit like a chunk: its z travels with it and its
+    // streams are keyed by global token index, so a survivor re-runs it
+    // against the same snapshot and the model does not move.
     let c = corpus();
-    let cfg2 = TrainerConfig::builder(K, Platform::pascal().with_gpus(2))
-        .iterations(ITERS)
-        .score_every(0)
-        .seed(17)
-        .build()
-        .unwrap();
-    let mut reference = WordPartitionedTrainer::try_new(&c, cfg2.clone()).unwrap();
-    for _ in 0..ITERS {
-        reference.try_step().unwrap();
-    }
+    for gpus in [2, 4] {
+        let reference = train_by_word(&c, gpus, None);
+        for device in 0..gpus {
+            let at = format!("word policy, device {device} of {gpus}");
+            let plan = Arc::new(FaultPlan::from_specs(vec![FaultSpec::new(
+                FaultKind::KernelLaunch,
+                device,
+                1,
+            )
+            .permanent()]));
+            let t = train_by_word(&c, gpus, Some(plan));
+            let rec = t.recovery();
+            assert_eq!(rec.workers_lost, 1, "{at}: {rec}");
+            assert_eq!(rec.chunks_migrated, 1, "{at}: its word range migrates");
+            assert!(
+                rec.retries >= 2,
+                "{at}: retry budget was spent first: {rec}"
+            );
+            assert_eq!(t.num_alive(), gpus - 1, "{at}");
+            assert_eq!(t.assignments(), reference.assignments(), "{at} changed z");
+            assert_eq!(
+                phi_counts(t.global_phi()),
+                phi_counts(reference.global_phi()),
+                "{at}: rebalanced training diverged from the fault-free model"
+            );
+            t.check_invariants();
+        }
 
-    let mut faulty = WordPartitionedTrainer::try_new(&c, cfg2.clone()).unwrap();
-    faulty.attach_fault_plan(Arc::new(FaultPlan::from_specs(vec![FaultSpec::new(
-        FaultKind::KernelLaunch,
-        1,
-        1,
-    )])));
-    for _ in 0..ITERS {
-        faulty.try_step().unwrap();
-    }
-    assert_eq!(faulty.recovery().retries, 1);
-    assert_eq!(reference.assignments(), faulty.assignments());
-    assert!((reference.loglik_per_token() - faulty.loglik_per_token()).abs() < 1e-12);
-
-    // ϕ columns are private per GPU under this policy — a dead worker
-    // cannot be rebalanced, so permanent loss is a clean error.
-    let mut doomed = WordPartitionedTrainer::try_new(&c, cfg2).unwrap();
-    doomed.attach_fault_plan(Arc::new(FaultPlan::from_specs(vec![FaultSpec::new(
-        FaultKind::KernelLaunch,
-        0,
-        0,
-    )
-    .permanent()])));
-    match doomed.try_step() {
-        Err(CuldaError::WorkerLost { device: 0, .. }) => {}
-        other => panic!("expected WorkerLost, got {other:?}"),
+        // With every GPU gone there is nowhere to rebalance to.
+        let plan = Arc::new(FaultPlan::from_specs(
+            (0..gpus)
+                .map(|d| FaultSpec::new(FaultKind::KernelLaunch, d, 1).permanent())
+                .collect(),
+        ));
+        let mut doomed = CuldaTrainer::try_with_policy(PartitionPolicy::Word, &c, word_cfg(gpus))
+            .expect("trainer builds");
+        doomed.attach_fault_plan(plan);
+        doomed.try_step().expect("iteration 0 is fault-free");
+        match doomed.try_step() {
+            Err(CuldaError::AllWorkersLost) => {}
+            other => panic!("{gpus} GPUs: expected AllWorkersLost, got {other:?}"),
+        }
     }
 }
 

@@ -10,7 +10,7 @@ use culda::gpusim::Platform;
 use culda::metrics::{MetricsRegistry, Phase};
 use culda::multigpu::{
     build_trainer, CuldaTrainer, DrawMode, LdaTrainer, PartitionPolicy, SamplingMode, SyncMode,
-    TrainerConfig, WordPartitionedTrainer,
+    TrainerConfig,
 };
 use std::sync::Arc;
 
@@ -146,7 +146,7 @@ fn run_word_policy() -> (u64, Vec<u64>, [u64; 3], u32) {
         .seed(0x601DE6)
         .build()
         .unwrap();
-    let mut t: Box<dyn LdaTrainer> = Box::new(WordPartitionedTrainer::new(&corpus, cfg));
+    let mut t: Box<dyn LdaTrainer> = build_trainer(PartitionPolicy::Word, &corpus, cfg).unwrap();
     let sim_bits: Vec<u64> = (0..3).map(|_| t.step().sim_seconds.to_bits()).collect();
     let b = t.breakdown();
     let phase_bits =

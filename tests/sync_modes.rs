@@ -15,7 +15,7 @@
 
 use culda::corpus::{Corpus, SynthSpec};
 use culda::gpusim::Platform;
-use culda::metrics::MetricsRegistry;
+use culda::metrics::{EventKind, Json, MetricsRegistry, TraceSink};
 use culda::multigpu::{CuldaTrainer, SyncMode, SyncTotals, TrainerConfig};
 use std::sync::Arc;
 
@@ -213,4 +213,47 @@ fn delta_density_decreases_as_training_converges() {
     );
     assert!(reg.counter("sync.nnz").value() > 0);
     assert!(reg.counter("sync.bytes").value() > 0);
+}
+
+#[test]
+fn delta_density_means_the_intra_node_payload_at_every_node_count() {
+    // `IterationStat::delta_density` and the `sync.density` gauge are the
+    // mean density of the intra-node Δϕ payloads — one per node, each
+    // drawn as that node's sync span — whatever the node count. The
+    // node-level payload, the union of those, is `cluster.sync.density`.
+    let c = corpus();
+    let cells = (c.vocab_size() * K) as f64;
+    for nodes in [1, 2, 4] {
+        let mut config = cfg(2, SyncMode::Delta);
+        config.nodes = nodes;
+        let mut t = CuldaTrainer::try_new(&c, config).unwrap();
+        let sink = Arc::new(TraceSink::new());
+        let reg = Arc::new(MetricsRegistry::new());
+        t.attach_observability(Some(Arc::clone(&sink)), Some(Arc::clone(&reg)));
+        let span = if nodes == 1 { "phi_sync" } else { "node_sync" };
+        for i in 0..ITERS {
+            let d = t.try_step().unwrap().delta_density.expect("delta shipped");
+            let nnz: Vec<f64> = sink
+                .events()
+                .into_iter()
+                .filter(|e| e.kind == EventKind::Begin && e.name == format!("{span} iter {i}"))
+                .map(|e| match e.args.iter().find(|(k, _)| k == "nnz") {
+                    Some((_, Json::Num(n))) => *n,
+                    other => panic!("sync span without nnz: {other:?}"),
+                })
+                .collect();
+            assert_eq!(nnz.len(), nodes, "{nodes} node(s), iteration {i}");
+            let mean = nnz.iter().map(|n| n / cells).sum::<f64>() / nodes as f64;
+            assert_eq!(
+                d.to_bits(),
+                mean.to_bits(),
+                "{nodes} node(s), iteration {i}"
+            );
+            assert_eq!(reg.gauge("sync.density").value(), d);
+            if nodes > 1 {
+                let cluster = reg.gauge("cluster.sync.density").value();
+                assert!(d <= cluster, "{nodes} nodes: {d} > cluster {cluster}");
+            }
+        }
+    }
 }
