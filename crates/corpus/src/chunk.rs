@@ -60,9 +60,14 @@ pub fn partition_by_tokens(corpus: &Corpus, c: usize) -> Vec<ChunkSpec> {
 /// document chunks of [`partition_by_tokens`] and the word ranges of the
 /// partition-by-word policy are both cut this way.
 ///
-/// Requires `0 < parts <= weights.len()`.
+/// # Panics
+/// Panics unless `0 < parts <= weights.len()`.
 pub fn balanced_ranges(weights: &[u64], parts: usize) -> Vec<Range<usize>> {
     let n = weights.len();
+    assert!(
+        parts > 0 && parts <= n,
+        "cannot split {n} items into {parts} non-empty ranges"
+    );
     let total: u64 = weights.iter().sum();
     let mut ranges = Vec::with_capacity(parts);
     let mut next = 0usize;
@@ -85,7 +90,7 @@ pub fn balanced_ranges(weights: &[u64], parts: usize) -> Vec<Range<usize>> {
         ranges.push(start..next);
     }
     if next < n {
-        ranges.last_mut().unwrap().end = n;
+        ranges.last_mut().expect("parts > 0").end = n;
     }
     ranges
 }
