@@ -90,19 +90,15 @@ impl WordLayout {
         }
         let k = cfg.num_topics;
 
-        // Token counts per word, then contiguous word ranges balanced by
-        // token count (the same greedy quantile split as the doc policy).
-        let mut word_tokens = vec![0u64; v];
-        for (_, w) in corpus.tokens() {
-            word_tokens[w as usize] += 1;
-        }
-
-        // Word-major token lists with global doc ids and global token
-        // stream keys (assigned in (word, occurrence) order).
+        // Each word's occurrences (document ids), then contiguous word
+        // ranges balanced by token count (the same greedy quantile split
+        // as the doc policy), laid out word-major with global token stream
+        // keys assigned in (word, occurrence) order.
         let mut occurrences: Vec<Vec<u32>> = vec![Vec::new(); v];
         for (d, w) in corpus.tokens() {
             occurrences[w as usize].push(d);
         }
+        let word_tokens: Vec<u64> = occurrences.iter().map(|o| o.len() as u64).collect();
         let mut stream_key = 0u64;
         let ranges: Vec<WordRange> = balanced_ranges(&word_tokens, g)
             .into_iter()
