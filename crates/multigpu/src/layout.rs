@@ -44,6 +44,17 @@ pub(crate) trait Layout: Send + Sync {
     /// Trace-name stem of the payload the sync merges (`"phi"`, `"theta"`).
     fn payload(&self) -> &'static str;
 
+    /// Whether units stage through host memory every superstep (`M > 1`).
+    fn staged(&self) -> bool {
+        false
+    }
+
+    /// The document partition and its memory plan, under
+    /// partition-by-document.
+    fn documents(&self) -> Option<(&PartitionedCorpus, &MemoryPlan)> {
+        None
+    }
+
     /// Modelled device bytes of unit `u` — what a migration moves.
     fn unit_bytes(&self, u: usize, cfg: &TrainerConfig) -> u64;
 
@@ -87,7 +98,6 @@ pub(crate) trait Layout: Send + Sync {
 /// Everything a layout's constructor hands the engine.
 pub(crate) struct Parts {
     pub layout: Box<dyn Layout>,
-    pub plan: MemoryPlan,
     pub workers: Vec<GpuWorker>,
     pub peer_link: Link,
     pub host_link: Link,
@@ -115,8 +125,8 @@ pub(crate) fn device_pool(cfg: &TrainerConfig) -> GpuCluster {
 /// own ϕ write replica, and the sync merges the replicas.
 pub(crate) struct DocLayout {
     part: PartitionedCorpus,
-    /// Chunks per GPU (`M`); `M > 1` stages chunks out of core.
-    m: usize,
+    /// `M` chunks per GPU (`M > 1` stages chunks out of core), `C` in all.
+    plan: MemoryPlan,
     _residency: Vec<Reservation>,
 }
 
@@ -178,12 +188,11 @@ impl DocLayout {
         }
 
         // Reserve device residency and charge the initial transfers.
+        let phi_bytes = 2 * cfg.phi_device_bytes(part.vocab_size);
         let mut residency = Vec::new();
-        for dev in 0..g {
-            let phi_bytes = 2 * cfg.phi_device_bytes(part.vocab_size);
+        for d in &cluster.devices {
             residency.push(
-                cluster.devices[dev]
-                    .reserve(phi_bytes)
+                d.reserve(phi_bytes)
                     .expect("plan guaranteed the model fits"),
             );
         }
@@ -222,11 +231,10 @@ impl DocLayout {
         }
         Parts {
             layout: Box::new(DocLayout {
-                m: plan.m,
                 part,
+                plan,
                 _residency: residency,
             }),
-            plan,
             workers,
             peer_link,
             host_link,
@@ -243,13 +251,21 @@ impl Layout for DocLayout {
         "phi"
     }
 
+    fn staged(&self) -> bool {
+        self.plan.m > 1
+    }
+
+    fn documents(&self) -> Option<(&PartitionedCorpus, &MemoryPlan)> {
+        Some((&self.part, &self.plan))
+    }
+
     fn unit_bytes(&self, u: usize, cfg: &TrainerConfig) -> u64 {
         chunk_state_bytes(&self.part, u, cfg.num_topics)
     }
 
     fn run(&self, w: &mut GpuWorker, step: &StepCtx) -> Result<PlanReport, SimFault> {
         let k = step.cfg.num_topics;
-        let plan = if self.m == 1 {
+        let plan = if self.plan.m == 1 {
             IterationPlan::resident(k)
         } else {
             IterationPlan::out_of_core(k).with_prefetch(step.cfg.prefetch)

@@ -57,7 +57,7 @@ pub use delta::{dense_cutover, row_encoding, DeltaPayload, RowFormat};
 pub use error::{CuldaError, RecoveryStats};
 pub use partition::PartitionedCorpus;
 pub use policy::{compare_policies, compare_policies_analytic, PolicyComparison};
-pub use resume::{resume_any, resume_training, save_training};
+pub use resume::{resume_any, save_training};
 pub use schedule::{chunk_owner, plan_partition, MemoryPlan};
 pub use sync::{
     sync_phi_auto, sync_phi_delta, sync_phi_replicas, sync_phi_ring, SyncReport, SyncTotals,

@@ -19,7 +19,6 @@
 use crate::api::{build_trainer, LdaTrainer, PartitionPolicy};
 use crate::config::TrainerConfig;
 use crate::error::CuldaError;
-use crate::trainer::CuldaTrainer;
 use culda_corpus::Corpus;
 use std::io::{self, Read, Write};
 
@@ -152,7 +151,6 @@ fn resume_into<R: Read>(
             shapes.len()
         )));
     }
-    let k = header.num_topics;
     let mut all_z = Vec::with_capacity(header.num_shards);
     for (ci, &expect) in shapes.iter().enumerate() {
         let n = r64(&mut input)? as usize;
@@ -165,39 +163,23 @@ fn resume_into<R: Read>(
         let mut b = [0u8; 2];
         for _ in 0..n {
             input.read_exact(&mut b)?;
-            let v = u16::from_le_bytes(b);
-            if v as usize >= k {
-                return Err(invalid(format!("assignment {v} out of range K = {k}")));
-            }
-            z.push(v);
+            z.push(u16::from_le_bytes(b));
         }
         all_z.push(z);
     }
+    // The trainer rejects assignments outside `0..K`.
     trainer
         .restore_assignments(header.iteration, &all_z)
         .map_err(invalid)
 }
 
-/// Rebuilds a partition-by-document trainer from `corpus` + `cfg` and a
-/// checkpoint produced by [`save_training`]. The corpus and configuration
-/// must be the ones the checkpoint was taken with (validated where
-/// possible: policy, seed, K, chunk count, per-chunk token counts).
-/// Malformed or mismatched checkpoints surface as
+/// Rebuilds a trainer from `corpus` + `cfg` and a checkpoint produced by
+/// [`save_training`], under the policy the checkpoint's tag names. The
+/// corpus and configuration must be the ones the checkpoint was taken
+/// with (validated where possible: seed, K, shard count, per-shard token
+/// counts). Malformed or mismatched checkpoints surface as
 /// [`CuldaError::Checkpoint`]; underlying read failures as
 /// [`CuldaError::Io`].
-pub fn resume_training<R: Read>(
-    corpus: &Corpus,
-    cfg: TrainerConfig,
-    mut input: R,
-) -> Result<CuldaTrainer, CuldaError> {
-    let header = read_header(&mut input)?;
-    let mut trainer = CuldaTrainer::try_new(corpus, cfg.clone())?;
-    resume_into(&mut trainer, header, &cfg, input)?;
-    Ok(trainer)
-}
-
-/// Policy-dispatching resume: reads the tag from the checkpoint itself
-/// and rebuilds that policy's trainer behind the [`LdaTrainer`] surface.
 pub fn resume_any<R: Read>(
     corpus: &Corpus,
     cfg: TrainerConfig,
@@ -212,6 +194,7 @@ pub fn resume_any<R: Read>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::trainer::CuldaTrainer;
     use culda_corpus::SynthSpec;
     use culda_gpusim::Platform;
 
@@ -255,13 +238,15 @@ mod tests {
         first.step();
         let mut buf = Vec::new();
         save_training(&first, &mut buf).unwrap();
-        let mut resumed = resume_training(&c, cfg(), buf.as_slice()).unwrap();
+        let mut resumed = resume_any(&c, cfg(), buf.as_slice()).unwrap();
         for _ in 0..3 {
             resumed.step();
         }
-        let a: Vec<Vec<u16>> = straight.states().iter().map(|s| s.z.snapshot()).collect();
-        let b: Vec<Vec<u16>> = resumed.states().iter().map(|s| s.z.snapshot()).collect();
-        assert_eq!(a, b, "resume broke the chain");
+        assert_eq!(
+            LdaTrainer::assignments(&straight),
+            resumed.assignments(),
+            "resume broke the chain"
+        );
         assert!((straight.loglik_per_token() - resumed.loglik_per_token()).abs() < 1e-12);
     }
 
@@ -279,7 +264,7 @@ mod tests {
         save_training(&first, &mut buf).unwrap();
         let mut two_nodes = multi_gpu_cfg();
         two_nodes.nodes = 2;
-        let mut resumed = resume_training(&c, two_nodes, buf.as_slice()).unwrap();
+        let mut resumed = resume_any(&c, two_nodes, buf.as_slice()).unwrap();
         assert_eq!(resumed.num_gpus(), 4);
         for _ in 0..3 {
             resumed.step();
@@ -287,12 +272,12 @@ mod tests {
         resumed.check_invariants();
         assert_eq!(
             LdaTrainer::assignments(&straight),
-            LdaTrainer::assignments(&resumed),
+            resumed.assignments(),
             "2-node resume broke the chain"
         );
         assert_eq!(
             straight.global_phi().phi.snapshot(),
-            resumed.global_phi().phi.snapshot()
+            resumed.phi().phi.snapshot()
         );
         assert!((straight.loglik_per_token() - resumed.loglik_per_token()).abs() < 1e-12);
     }
@@ -347,7 +332,10 @@ mod tests {
         word.step();
         let mut buf = Vec::new();
         save_training(word.as_ref(), &mut buf).unwrap();
-        assert!(resume_training(&c, multi_gpu_cfg(), buf.as_slice()).is_err());
+        let mut input = buf.as_slice();
+        let header = read_header(&mut input).unwrap();
+        let mut doc = CuldaTrainer::new(&c, multi_gpu_cfg());
+        assert!(resume_into(&mut doc, header, &multi_gpu_cfg(), input).is_err());
     }
 
     #[test]
@@ -360,30 +348,34 @@ mod tests {
         // Wrong seed.
         let mut bad = cfg();
         bad.seed = 32;
-        assert!(resume_training(&c, bad, buf.as_slice()).is_err());
+        assert!(resume_any(&c, bad, buf.as_slice()).is_err());
         // Wrong K.
         let bad = TrainerConfig::builder(16, Platform::maxwell())
             .seed(31)
             .build()
             .unwrap();
-        assert!(resume_training(&c, bad, buf.as_slice()).is_err());
+        assert!(resume_any(&c, bad, buf.as_slice()).is_err());
         // Wrong corpus (different shape).
         let mut spec = SynthSpec::tiny();
         spec.num_docs = 60;
         let other = spec.generate();
-        assert!(resume_training(&other, cfg(), buf.as_slice()).is_err());
+        assert!(resume_any(&other, cfg(), buf.as_slice()).is_err());
     }
 
     #[test]
     fn garbage_is_rejected_not_panicked() {
         let c = corpus();
-        assert!(resume_training(&c, cfg(), &b"nonsense"[..]).is_err());
+        assert!(resume_any(&c, cfg(), &b"nonsense"[..]).is_err());
         let mut t = CuldaTrainer::new(&c, cfg());
         t.step();
         let mut buf = Vec::new();
         save_training(&t, &mut buf).unwrap();
         for cut in [3usize, 12, buf.len() / 2] {
-            assert!(resume_training(&c, cfg(), &buf[..cut]).is_err());
+            assert!(resume_any(&c, cfg(), &buf[..cut]).is_err());
         }
+        // An assignment outside 0..K (the last token's, set to 0xFFFF).
+        let n = buf.len();
+        buf[n - 2..].copy_from_slice(&[0xFF, 0xFF]);
+        assert!(resume_any(&c, cfg(), buf.as_slice()).is_err());
     }
 }

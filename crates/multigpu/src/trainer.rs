@@ -55,6 +55,7 @@ use crate::config::{SamplingMode, SyncMode, TrainerConfig};
 use crate::delta::DeltaPayload;
 use crate::error::{CuldaError, RecoveryStats};
 use crate::layout::{DocLayout, Layout, StepCtx};
+use crate::partition::PartitionedCorpus;
 use crate::schedule::MemoryPlan;
 use crate::sync::{reduce_payloads, SyncReport, SyncTotals};
 use crate::word::WordLayout;
@@ -92,7 +93,7 @@ pub struct CuldaTrainer {
     /// Run configuration (`cfg.platform` is one node's box).
     pub cfg: TrainerConfig,
     layout: Box<dyn Layout>,
-    plan: MemoryPlan,
+    num_units: usize,
     vocab_size: usize,
     num_tokens: u64,
     workers: Vec<GpuWorker>,
@@ -144,13 +145,13 @@ impl CuldaTrainer {
         };
         let vocab_size = parts.layout.global_phi(&parts.workers).vocab_size;
         let units = parts.workers.iter().flat_map(|w| &w.states);
-        let num_tokens = units.map(|s| s.z.len() as u64).sum();
+        let num_tokens = units.clone().map(|s| s.z.len() as u64).sum();
         Ok(Self {
             node_link: cfg.effective_node_link(),
             gpus_per_node: cfg.platform.num_gpus,
             cfg,
             layout: parts.layout,
-            plan: parts.plan,
+            num_units: units.count(),
             vocab_size,
             num_tokens,
             workers: parts.workers,
@@ -236,9 +237,36 @@ impl CuldaTrainer {
         self.metrics = metrics;
     }
 
+    /// The attached trace sink, if any.
+    pub fn trace_sink(&self) -> Option<Arc<TraceSink>> {
+        self.trace.clone()
+    }
+
+    /// The attached metrics registry, if any.
+    pub fn metrics_registry(&self) -> Option<Arc<MetricsRegistry>> {
+        self.metrics.clone()
+    }
+
     /// The chosen memory plan (`M`, `C`, byte budgets — per node).
+    ///
+    /// # Panics
+    /// Under partition-by-word, which plans no document chunks.
     pub fn plan(&self) -> &MemoryPlan {
-        &self.plan
+        self.documents().1
+    }
+
+    /// The partitioned corpus.
+    ///
+    /// # Panics
+    /// Under partition-by-word, which cuts the corpus into word ranges.
+    pub fn partition(&self) -> &PartitionedCorpus {
+        self.documents().0
+    }
+
+    fn documents(&self) -> (&PartitionedCorpus, &MemoryPlan) {
+        self.layout
+            .documents()
+            .expect("partition-by-word has no document chunks")
     }
 
     /// Number of GPU workers across every node.
@@ -255,7 +283,7 @@ impl CuldaTrainer {
     /// Per-unit assignment state (a chunk's z and θ, or a word range's z)
     /// in **global unit order**, reassembled from the owning workers.
     pub fn states(&self) -> Vec<&ChunkState> {
-        let mut out: Vec<Option<&ChunkState>> = vec![None; self.plan.c];
+        let mut out: Vec<Option<&ChunkState>> = vec![None; self.num_units];
         for w in &self.workers {
             for (local, &gi) in w.chunk_ids.iter().enumerate() {
                 out[gi] = Some(&w.states[local]);
@@ -358,11 +386,11 @@ impl CuldaTrainer {
         iteration: u32,
         z_per_unit: &[Vec<u16>],
     ) -> Result<(), String> {
-        if z_per_unit.len() != self.plan.c {
+        if z_per_unit.len() != self.num_units {
             return Err(format!(
                 "{} units supplied, trainer has {}",
                 z_per_unit.len(),
-                self.plan.c
+                self.num_units
             ));
         }
         for (u, z) in z_per_unit.iter().enumerate() {
@@ -388,7 +416,8 @@ impl CuldaTrainer {
         // per node, then across nodes — merges them. Unlike `new()`'s
         // untimed setup sync, this one replaces an iteration-time sync
         // the original run performed, so it is charged: resumed runs
-        // profile identically to fresh ones.
+        // profile identically to fresh ones. It is not a superstep, so
+        // attached observability neither draws nor counts it.
         for w in &mut self.workers {
             w.breakdown = Breakdown::new();
             w.device.reset_clock();
@@ -401,7 +430,9 @@ impl CuldaTrainer {
             }
         }
         let ready = vec![0.0; self.workers.len()];
+        let (trace, metrics) = (self.trace.take(), self.metrics.take());
         self.sync_all(0.0, &ready);
+        (self.trace, self.metrics) = (trace, metrics);
         for w in &mut self.workers {
             if let (Some(read), Some(write)) = (&w.read_phi, &w.write_phi) {
                 read.copy_from(write);
@@ -596,7 +627,7 @@ impl CuldaTrainer {
         }
 
         // Merge per-worker accounts in device order (deterministic).
-        let staged = self.plan.m > 1;
+        let staged = self.layout.staged();
         for (w, r) in self.workers.iter_mut().zip(&reports) {
             self.breakdown.add(Phase::Sampling, r.sampling_seconds);
             self.breakdown.add(Phase::UpdatePhi, r.phi_seconds);
@@ -844,7 +875,7 @@ impl CuldaTrainer {
                 // replica clear, so it matches this iteration's counts.
                 let union = PhiDelta::new(self.vocab_size);
                 for w in &alive {
-                    for v in w.write_replica().phi.dirty().touched_rows() {
+                    for v in w.delta().touched_rows() {
                         union.mark_row(v);
                     }
                 }
@@ -1055,12 +1086,38 @@ impl CuldaTrainer {
         for _ in 0..self.cfg.iterations {
             self.try_step()?;
         }
-        Ok(TrainOutcome {
+        Ok(self.into_outcome())
+    }
+
+    /// Trains until the scored log-likelihood flattens (less than `tol`
+    /// per-token improvement over the last `window` scores) or the
+    /// configured iteration cap is reached, whichever comes first.
+    /// Requires `score_every > 0`. Returns the outcome and the number of
+    /// iterations actually run.
+    pub fn train_until_converged(mut self, window: usize, tol: f64) -> (TrainOutcome, u32) {
+        assert!(
+            self.cfg.score_every > 0,
+            "convergence-driven training needs score_every > 0"
+        );
+        let mut ran = 0;
+        for _ in 0..self.cfg.iterations {
+            self.step();
+            ran += 1;
+            if self.history.has_converged(window, tol) {
+                break;
+            }
+        }
+        (self.into_outcome(), ran)
+    }
+
+    /// The run so far, scored once more at the end.
+    fn into_outcome(self) -> TrainOutcome {
+        TrainOutcome {
             final_loglik_per_token: self.loglik_per_token(),
             recovery: self.recovery(),
             history: self.history,
             breakdown: self.breakdown,
-        })
+        }
     }
 
     /// Joint log-likelihood per token of the current state. Accumulates
@@ -1453,6 +1510,20 @@ mod tests {
     }
 
     #[test]
+    fn convergence_driven_training_stops_early() {
+        let c = corpus();
+        let config = cfg(Platform::maxwell())
+            .iterations(60)
+            .score_every(1)
+            .build()
+            .unwrap();
+        let (out, ran) = CuldaTrainer::new(&c, config).train_until_converged(3, 0.02);
+        assert!(ran < 60, "should converge before the cap, ran {ran}");
+        assert!(ran >= 4, "needs at least window+1 scores, ran {ran}");
+        assert_eq!(out.history.len() as u32, ran);
+    }
+
+    #[test]
     fn profile_log_records_every_kernel() {
         let c = corpus();
         let mut t = CuldaTrainer::new(&c, cfg(Platform::maxwell()).score_every(0).build().unwrap());
@@ -1550,6 +1621,7 @@ mod tests {
         // Metrics saw the launches and the sync.
         assert!(reg.counter("kernel.launches").value() >= 8);
         assert!(reg.histogram("sync.seconds").count() == 2);
+        assert!(t.trace_sink().is_some() && t.metrics_registry().is_some());
     }
 
     #[test]
@@ -1672,6 +1744,47 @@ mod tests {
             t.breakdown().seconds(Phase::SyncPhi).to_bits(),
             tree.total_seconds().to_bits()
         );
+    }
+
+    #[test]
+    fn resume_sync_is_not_observed_as_a_superstep() {
+        // Observability attached before a restore must record what it
+        // records when attached after: the supersteps, not the resume sync.
+        use culda_metrics::EventKind;
+        let c = corpus();
+        let run = |attach_first: bool| {
+            let config = cfg(Platform::pascal().with_gpus(4))
+                .score_every(0)
+                .build()
+                .unwrap();
+            let mut t = CuldaTrainer::new(&c, config);
+            let z: Vec<Vec<u16>> = t.states().iter().map(|s| s.z.snapshot()).collect();
+            let (sink, reg) = (Arc::new(TraceSink::new()), Arc::new(MetricsRegistry::new()));
+            let attach = |t: &mut CuldaTrainer| {
+                t.attach_observability(Some(sink.clone()), Some(reg.clone()))
+            };
+            if attach_first {
+                attach(&mut t);
+            }
+            t.restore_assignments(3, &z).unwrap();
+            if !attach_first {
+                attach(&mut t);
+            }
+            for _ in 0..2 {
+                t.step();
+            }
+            let mut syncs: Vec<String> = sink
+                .events()
+                .into_iter()
+                .filter(|e| e.tid == SYNC_TID && e.kind == EventKind::Begin)
+                .map(|e| e.name.clone())
+                .collect();
+            syncs.sort();
+            (reg.histogram("sync.seconds").count(), syncs)
+        };
+        let (count, syncs) = run(true);
+        assert_eq!(count, 2);
+        assert_eq!((count, syncs), run(false));
     }
 
     #[test]

@@ -18,7 +18,6 @@ use crate::api::PartitionPolicy;
 use crate::config::TrainerConfig;
 use crate::error::CuldaError;
 use crate::layout::{device_pool, Layout, Parts, StepCtx};
-use crate::schedule::MemoryPlan;
 use crate::sync::SyncReport;
 use crate::worker::GpuWorker;
 use culda_corpus::{balanced_ranges, Corpus, CsrMatrix, Xoshiro256};
@@ -134,14 +133,12 @@ impl WordLayout {
             })
             .collect();
 
-        let phi_bytes = cfg.phi_device_bytes(v);
         let mut layout = WordLayout {
             ranges,
             doc_lens: corpus.docs.iter().map(|d| d.len() as u32).collect(),
             phi: PhiModel::zeros(k, v, Priors::paper(k)),
             theta: CsrMatrix::zeros(0, k),
         };
-        let largest = (0..g).map(|u| layout.unit_bytes(u, cfg)).max().unwrap_or(0);
         layout.rebuild(&states.iter().enumerate().collect::<Vec<_>>(), k);
 
         let cluster = device_pool(cfg);
@@ -155,13 +152,6 @@ impl WordLayout {
         }
         Ok(Parts {
             layout: Box::new(layout),
-            plan: MemoryPlan {
-                m: 1,
-                c: g,
-                phi_bytes,
-                resident_bytes: phi_bytes + largest,
-                capacity_bytes: cfg.platform.gpu.memory_bytes,
-            },
             workers,
             peer_link: cluster.peer_link,
             host_link: cluster.host_link,

@@ -6,7 +6,7 @@
 //! round-robin, see [`crate::schedule::chunk_owner`], or word ranges),
 //! their assignment states and block maps, and — under
 //! partition-by-document — the double-buffered ϕ replicas.
-//! [`GpuWorker::try_run_iteration`] is the document-partitioned iteration
+//! [`GpuWorker::run_iteration`] is the document-partitioned iteration
 //! body — it builds the [`ChunkTask`]s and submits an [`IterationPlan`]
 //! through the device's [`KernelSet`] — and [`run_workers`] fans the
 //! bodies out over real host threads with a deterministic device-order
@@ -24,7 +24,8 @@ use culda_corpus::CsrMatrix;
 use culda_gpusim::{Device, FaultKind, Link, SimFault};
 use culda_metrics::{Breakdown, Json, Phase, TraceSink, H2D_TID_BASE, SIM_PID, STAGE_TID_BASE};
 use culda_sampler::{
-    BlockWork, ChunkState, ChunkTask, IterationPlan, KernelSet, PhiModel, PlanReport, SampleConfig,
+    BlockWork, ChunkState, ChunkTask, IterationPlan, KernelSet, PhiDelta, PhiModel, PlanReport,
+    SampleConfig,
 };
 
 /// A pre-iteration copy of one chunk's mutable state (`z` + θ), taken only
@@ -103,6 +104,18 @@ impl GpuWorker {
         self.write_phi.as_ref().expect("worker has no ϕ replicas")
     }
 
+    /// The rows this iteration's ϕ updates touched — the write replica's
+    /// own dirty bitmap (feeds the sparse Δϕ sync). Because it lives
+    /// *inside* the replica's count storage and resets with the replica
+    /// clear at the top of every plan, it can never disagree with the
+    /// counts after a retried iteration.
+    ///
+    /// # Panics
+    /// Panics on a replica-less worker (see [`Self::without_replicas`]).
+    pub fn delta(&self) -> &PhiDelta {
+        self.write_replica().phi.dirty()
+    }
+
     /// Assigns a chunk (by global id) to this worker.
     pub fn push_chunk(&mut self, global_id: usize, state: ChunkState, block_map: Vec<BlockWork>) {
         self.chunk_ids.push(global_id);
@@ -151,6 +164,14 @@ impl GpuWorker {
         }
     }
 
+    /// The state of an owned chunk, by *global* chunk id.
+    pub fn state_for(&self, global_id: usize) -> Option<&ChunkState> {
+        self.chunk_ids
+            .iter()
+            .position(|&gi| gi == global_id)
+            .map(|local| &self.states[local])
+    }
+
     /// Swaps the ϕ replica pair: the freshly-summed write replica becomes
     /// the next iteration's read snapshot.
     pub fn swap_replicas(&mut self) {
@@ -163,7 +184,23 @@ impl GpuWorker {
     /// Updates the per-GPU breakdown and returns the plan report (the
     /// trainer needs `phi_done_at` to start the sync).
     ///
-    /// On a fault the error is surfaced and the breakdown is left untouched; chunk state may be mid-iteration (some
+    /// Panics on a simulated fault; resilient callers use
+    /// [`Self::try_run_iteration`].
+    pub fn run_iteration(
+        &mut self,
+        part: &PartitionedCorpus,
+        cfg: &TrainerConfig,
+        plan: IterationPlan,
+        iteration: u32,
+        host_link: &Link,
+        sparse: bool,
+    ) -> PlanReport {
+        self.try_run_iteration(part, cfg, plan, iteration, host_link, sparse)
+            .unwrap_or_else(|f| panic!("unrecoverable simulated fault: {f}"))
+    }
+
+    /// Fallible iteration body. On a fault the error is surfaced and the
+    /// breakdown is left untouched; chunk state may be mid-iteration (some
     /// θ rebuilds already committed), so a retrying caller must restore a
     /// [`Self::snapshot_states`] copy first.
     pub fn try_run_iteration(
@@ -558,16 +595,14 @@ mod tests {
         );
         w.read_replica().copy_from(&read);
         w.push_chunk(0, state, map.clone());
-        let report = w
-            .try_run_iteration(
-                &part,
-                &cfg,
-                IterationPlan::resident(cfg.num_topics),
-                0,
-                &Link::pcie3(),
-                false,
-            )
-            .unwrap();
+        let report = w.run_iteration(
+            &part,
+            &cfg,
+            IterationPlan::resident(cfg.num_topics),
+            0,
+            &Link::pcie3(),
+            false,
+        );
         assert_eq!(w.states[0].z.snapshot(), ref_state.z.snapshot());
         assert_eq!(w.write_replica().phi.snapshot(), ref_write.phi.snapshot());
         assert!((w.device.now() - ref_dev.now()).abs() < 1e-15);
@@ -583,18 +618,15 @@ mod tests {
     }
 
     #[test]
-    fn chunks_are_tracked_by_global_id() {
+    fn state_lookup_is_by_global_id() {
         let mut w = bare_workers(1).pop().unwrap();
         use culda_corpus::{partition_by_tokens, SortedChunk, SynthSpec};
         let corpus = SynthSpec::tiny().generate();
         let chunks = partition_by_tokens(&corpus, 2);
         let sorted = SortedChunk::build(&corpus, &chunks[0]);
         w.push_chunk(5, ChunkState::init_random(&sorted, 8, 1), Vec::new());
-        assert_eq!(w.chunk_ids, vec![5]);
+        assert!(w.state_for(5).is_some());
+        assert!(w.state_for(0).is_none());
         assert_eq!(w.num_chunks(), 1);
-        let drained = w.drain_chunks();
-        assert_eq!(drained.len(), 1);
-        assert_eq!(drained[0].0, 5);
-        assert_eq!(w.num_chunks(), 0);
     }
 }
